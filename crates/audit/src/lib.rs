@@ -14,9 +14,8 @@
 //!   [`RunSummary`]'s structured trace to verify fluid-sharing
 //!   feasibility (peak *and* time-averaged), work conservation through
 //!   fault recovery, and cache-epoch coherence;
-//!   [`shard::audit_shard_segments`] checks the sharded fabric's
-//!   per-shard trace segments (range partitioning, event ownership,
-//!   clone conservation across the canonical merge). All checks collect
+//!   [`clones::audit_clone_log`] checks clone conservation over the
+//!   site layer's clone-event log. All checks collect
 //!   machine-readable [`violation::Violation`]s rather than panicking.
 //! * **Static lint** — [`lint`] (and the `mrs-lint` binary) scans the
 //!   workspace's sources for determinism and hygiene hazards the
@@ -28,24 +27,24 @@
 //! [`PhaseSchedule`]: mrs_core::schedule::PhaseSchedule
 //! [`RunSummary`]: mrs_runtime::metrics::RunSummary
 
+pub mod clones;
 pub mod invariant;
 pub mod lint;
 pub mod run;
-pub mod shard;
 pub mod violation;
 
 /// Convenience re-exports of the whole audit surface.
 pub mod prelude {
+    pub use crate::clones::audit_clone_log;
     pub use crate::invariant::{
         audit_governed_degrees, audit_schedule, audit_tree, AuditOptions, AUDIT_REL_TOL,
     };
     pub use crate::lint::{lint_file, lint_workspace, workspace_sources, Allowlist, LintFinding};
     pub use crate::run::{audit_controller, audit_run};
-    pub use crate::shard::audit_shard_segments;
     pub use crate::violation::Violation;
 }
 
+pub use clones::audit_clone_log;
 pub use invariant::{audit_governed_degrees, audit_schedule, audit_tree, AuditOptions};
 pub use run::{audit_controller, audit_run};
-pub use shard::audit_shard_segments;
 pub use violation::Violation;

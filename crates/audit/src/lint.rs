@@ -23,29 +23,19 @@
 //! * `header` — every crate root (`lib.rs`) carries
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //!
-//! The `atomics` family guards the machine-checked concurrency story:
-//! every synchronization primitive in the sharded fabric must route
-//! through `mrs_shardexec::sync` (the shim the model checker and loom
-//! drive), so hand-rolled concurrency anywhere else is a finding:
+//! The `atomics` family keeps hand-rolled concurrency out of the
+//! workspace. Results must be functions of their seeds, and the one
+//! sanctioned concurrent site — the `par_map` sweep driver, whose
+//! allowlist entries document why (speedup only, results merged in
+//! index order) — is waived by path:
 //!
 //! * `atomics-raw` — `std::sync::atomic` / `core::sync::atomic` /
-//!   `loom::` / `std::hint::spin_loop` paths anywhere outside the shim;
-//!   inside `crates/shardexec/` (where the whole crate must stay
-//!   model-checkable) also `std::thread` (except the pure unwind query
-//!   `std::thread::panicking`) and the blocking `std::sync` primitives
-//!   (`Mutex`, `Condvar`, `RwLock`, `Barrier`, `mpsc`).
+//!   `loom::` / `std::hint::spin_loop` paths.
 //! * `atomics-prim` — concurrency-primitive identifiers (`Atomic*`,
-//!   `Condvar`, `Barrier`, `park`, `unpark`, `spawn`) outside
-//!   `crates/shardexec/` entirely: other crates have no business
-//!   spinning up threads or atomics except the allowlisted `par_map`
-//!   sweep driver, whose entry documents why (speedup only, results
-//!   merged in index order).
+//!   `Condvar`, `Barrier`, `park`, `unpark`, `spawn`).
 //! * `atomics-ordering` — a memory-ordering token
-//!   (`Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`) outside the
-//!   shim. Each ordering in the barrier is a named method on the shim
-//!   with a justifying comment and a covering model test; ordering
-//!   tokens elsewhere mean someone bypassed that discipline
-//!   (`cmp::Ordering` variants do not trigger this).
+//!   (`Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`);
+//!   `cmp::Ordering` variants do not trigger this.
 //! * `unsafe-code` — the `unsafe` keyword or a `static mut` anywhere,
 //!   including binaries (the `header` rule only sees crate roots).
 //!
@@ -78,8 +68,7 @@ const WARN_MISSING_DOCS: &str = concat!("#![warn(missing", "_docs)]");
 /// deliberately absent.
 const ORDERING_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// Identifiers that mean hand-rolled concurrency when they appear
-/// outside `crates/shardexec/`.
+/// Identifiers that mean hand-rolled concurrency.
 const PRIM_IDENTS: [&str; 17] = [
     "AtomicBool",
     "AtomicU8",
@@ -100,32 +89,13 @@ const PRIM_IDENTS: [&str; 17] = [
     "spawn",
 ];
 
-/// Raw-primitive paths banned everywhere outside the sync shim.
+/// Raw-primitive paths banned everywhere.
 const RAW_GLOBAL_PATHS: [&str; 4] = [
     "std::sync::atomic",
     "core::sync::atomic",
     "loom::",
     "std::hint::spin_loop",
 ];
-
-/// Additional raw paths banned inside `crates/shardexec/` (outside the
-/// shim): the whole crate must run under the model checker, so even
-/// blocking primitives route through `sync`.
-const RAW_SHARDEXEC_PATHS: [&str; 5] = [
-    "std::sync::Mutex",
-    "std::sync::Condvar",
-    "std::sync::RwLock",
-    "std::sync::Barrier",
-    "std::sync::mpsc",
-];
-
-/// The path prefix of the sync shim — the one sanctioned importer of
-/// raw primitives (and, under `--cfg loom`, of `loom::`).
-const SHIM_PREFIX: &str = "crates/shardexec/src/sync/";
-
-/// The model-checked crate: `atomics-prim` identifiers are legitimate
-/// here (they *are* the shim's API), raw paths are not.
-const SHARDEXEC_PREFIX: &str = "crates/shardexec/";
 
 /// One lint hit: rule, location, and the offending line.
 #[derive(Clone, Debug, PartialEq)]
@@ -475,28 +445,6 @@ fn has_memory_ordering(line: &str) -> bool {
     false
 }
 
-/// True when the line reaches into `std::thread` for anything except
-/// the pure unwind query `std::thread::panicking` (which the fabric's
-/// drop guards legitimately use).
-fn has_raw_thread_use(line: &str) -> bool {
-    let pat = "std::thread";
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(pat) {
-        let i = start + pos;
-        let j = i + pat.len();
-        start = j;
-        let before_ok = i == 0 || !is_ident_byte(bytes[i - 1]);
-        if !before_ok || (j < bytes.len() && is_ident_byte(bytes[j])) {
-            continue;
-        }
-        if !line[j..].starts_with("::panicking") {
-            return true;
-        }
-    }
-    false
-}
-
 /// True when the line declares a `static mut` (token pair, any
 /// spacing).
 fn has_static_mut(line: &str) -> bool {
@@ -596,8 +544,6 @@ pub fn lint_file(rel: &str, text: &str, allow: &Allowlist) -> Vec<LintFinding> {
     if class == FileClass::Exempt {
         return Vec::new();
     }
-    let in_shim = rel.starts_with(SHIM_PREFIX);
-    let in_shardexec = rel.starts_with(SHARDEXEC_PREFIX);
     let mut out = Vec::new();
     let is_crate_root = rel.ends_with("src/lib.rs");
     if is_crate_root {
@@ -683,20 +629,14 @@ pub fn lint_file(rel: &str, text: &str, allow: &Allowlist) -> Vec<LintFinding> {
         if has_float_eq(line) {
             push("float-eq");
         }
-        if !in_shim {
-            if RAW_GLOBAL_PATHS.iter().any(|p| contains_word(line, p))
-                || (in_shardexec
-                    && (has_raw_thread_use(line)
-                        || RAW_SHARDEXEC_PATHS.iter().any(|p| contains_word(line, p))))
-            {
-                push("atomics-raw");
-            }
-            if !in_shardexec && idents(line).any(|id| PRIM_IDENTS.contains(&id)) {
-                push("atomics-prim");
-            }
-            if has_memory_ordering(line) {
-                push("atomics-ordering");
-            }
+        if RAW_GLOBAL_PATHS.iter().any(|p| contains_word(line, p)) {
+            push("atomics-raw");
+        }
+        if idents(line).any(|id| PRIM_IDENTS.contains(&id)) {
+            push("atomics-prim");
+        }
+        if has_memory_ordering(line) {
+            push("atomics-ordering");
         }
         if contains_word(line, "unsafe") || has_static_mut(line) {
             push("unsafe-code");
@@ -884,104 +824,67 @@ mod tests {
     // --- the atomics family -------------------------------------------------
 
     #[test]
-    fn raw_atomic_import_is_flagged_outside_the_shim() {
-        // The seeded mutation: routing around the shim from inside the
-        // fabric must be caught.
+    fn raw_atomic_import_is_flagged_everywhere() {
+        // The seeded mutation: a raw atomic anywhere in library code
+        // fires both the path rule and the identifier rule.
         let text = "use std::sync::atomic::AtomicU32;\n";
+        for path in [
+            "crates/shardexec/src/fabric.rs",
+            "crates/runtime/src/runtime.rs",
+        ] {
+            assert_eq!(
+                rules(path, text),
+                vec!["atomics-raw", "atomics-prim"],
+                "{path}"
+            );
+        }
         assert_eq!(
-            rules("crates/shardexec/src/pool.rs", text),
+            rules("crates/sim/src/engine.rs", "std::hint::spin_loop();\n"),
             vec!["atomics-raw"]
         );
-        // ... and from any other crate (prim fires too: raw idents).
-        assert_eq!(
-            rules("crates/runtime/src/runtime.rs", text),
-            vec!["atomics-raw", "atomics-prim"]
-        );
-        // ... but the shim itself is the sanctioned importer.
-        assert!(findings("crates/shardexec/src/sync/default_impl.rs", text).is_empty());
     }
 
     #[test]
-    fn loom_paths_are_shim_only() {
-        let text = "use loom::sync::atomic::AtomicU64;\n";
+    fn loom_paths_are_flagged() {
         assert_eq!(
-            rules("crates/shardexec/src/fabric.rs", text),
+            rules("crates/shardexec/src/fabric.rs", "use loom::sync::Arc;\n"),
             vec!["atomics-raw"]
         );
-        assert!(findings("crates/shardexec/src/sync/loom_impl.rs", text).is_empty());
     }
 
     #[test]
-    fn std_thread_in_shardexec_is_raw_except_panicking() {
-        let spawn = "let h = std::thread::spawn(f);\n";
-        assert_eq!(
-            rules("crates/shardexec/src/pool.rs", spawn),
-            vec!["atomics-raw"]
-        );
-        let panicking = "if std::thread::panicking() { return; }\n";
-        assert!(
-            findings("crates/shardexec/src/pool.rs", panicking).is_empty(),
-            "the unwind query is not a sync primitive"
-        );
-        // Outside shardexec the path alone is fine (determinism crates
-        // may query available_parallelism)...
+    fn prim_idents_are_flagged_everywhere() {
+        for text in [
+            "let n = AtomicUsize::new(0);\n",
+            "scope.spawn(|| work());\n",
+            "let h = std::thread::spawn(f);\n",
+            "handle.thread().unpark();\n",
+            "let b = Barrier::new(4);\n",
+        ] {
+            for path in ["crates/exp/src/runner.rs", "crates/shardexec/src/fabric.rs"] {
+                assert_eq!(rules(path, text), vec!["atomics-prim"], "{path}: {text}");
+            }
+        }
+        // Substrings of longer idents never fire, and neither do
+        // thread queries that start nothing.
+        assert!(findings("crates/exp/src/runner.rs", "sync::spawn_named(name, f);\n").is_empty());
         assert!(findings(
             "crates/exp/src/config.rs",
             "std::thread::available_parallelism();\n"
         )
         .is_empty());
-        // ...but spawning threads is a prim finding there.
-        assert_eq!(
-            rules("crates/exp/src/runner.rs", spawn),
-            vec!["atomics-prim"]
-        );
+        assert!(findings("crates/runtime/src/runtime.rs", "use std::sync::Arc;\n").is_empty());
     }
 
     #[test]
-    fn blocking_primitives_in_shardexec_route_through_the_shim() {
-        let text = "use std::sync::Mutex;\n";
-        assert_eq!(
-            rules("crates/shardexec/src/state.rs", text),
-            vec!["atomics-raw"]
-        );
-        // Other crates may use std::sync::Mutex freely.
-        assert!(findings("crates/runtime/src/runtime.rs", text).is_empty());
-        // Arc is not a blocking primitive anywhere.
-        assert!(findings("crates/shardexec/src/pool.rs", "use std::sync::Arc;\n").is_empty());
-    }
-
-    #[test]
-    fn prim_idents_are_flagged_outside_shardexec_only() {
-        for text in [
-            "let n = AtomicUsize::new(0);\n",
-            "scope.spawn(|| work());\n",
-            "handle.thread().unpark();\n",
-            "let b = Barrier::new(4);\n",
-        ] {
-            assert_eq!(
-                rules("crates/exp/src/runner.rs", text),
-                vec!["atomics-prim"],
-                "{text}"
-            );
-            assert!(
-                findings("crates/shardexec/src/gate.rs", text).is_empty(),
-                "shardexec uses these idents *as* the shim API: {text}"
-            );
-        }
-        // Substrings of longer idents never fire.
-        assert!(findings("crates/exp/src/runner.rs", "sync::spawn_named(name, f);\n").is_empty());
-    }
-
-    #[test]
-    fn memory_ordering_tokens_are_shim_only() {
-        // The seeded mutation: a raw ordering choice outside the shim
-        // (here together with the raw path that carries it).
+    fn memory_ordering_tokens_are_flagged_everywhere() {
+        // The seeded mutation: a raw ordering choice (here together with
+        // the raw path that carries it).
         let text = "x.load(std::sync::atomic::Ordering::Relaxed);\n";
         assert_eq!(
-            rules("crates/shardexec/src/gate.rs", text),
+            rules("crates/shardexec/src/fabric.rs", text),
             vec!["atomics-raw", "atomics-ordering"]
         );
-        assert!(findings("crates/shardexec/src/sync/default_impl.rs", text).is_empty());
         // A bare ordering token (imported elsewhere) still fires.
         assert_eq!(
             rules(

@@ -234,29 +234,10 @@ pub enum Violation {
         /// The exact integral the simulator accumulated.
         integral: f64,
     },
-    /// The shard segments' site ranges do not partition `0..P`
-    /// contiguously in shard order.
-    ShardRangeBroken {
-        /// The offending shard.
-        shard: usize,
-        /// The range the segment claims.
-        claimed: (usize, usize),
-        /// Where the previous segment ended (what `claimed.0` must be).
-        expected_start: usize,
-    },
-    /// A shard recorded an event for a site outside its claimed range.
-    ShardSiteOutOfRange {
-        /// The offending shard.
-        shard: usize,
-        /// The out-of-range site.
-        site: usize,
-        /// The shard's claimed site range.
-        range: (usize, usize),
-    },
-    /// A clone's event lifecycle across the merged shard trace is
+    /// A clone's event lifecycle in the site layer's clone-event log is
     /// inconsistent: re-dispatched tag, a terminal event with no (or
     /// before its) dispatch, or more than one terminal event.
-    ShardConservationBroken {
+    CloneConservationBroken {
         /// The offending clone tag.
         tag: usize,
         /// Human-readable description of the lifecycle breach.
@@ -356,9 +337,7 @@ impl Violation {
             Violation::TraceDisordered { .. } => "trace-disordered",
             Violation::AvgUtilizationInfeasible { .. } => "avg-utilization",
             Violation::UtilSeriesMismatch { .. } => "util-series",
-            Violation::ShardRangeBroken { .. } => "shard-range",
-            Violation::ShardSiteOutOfRange { .. } => "shard-site",
-            Violation::ShardConservationBroken { .. } => "shard-conservation",
+            Violation::CloneConservationBroken { .. } => "clone-conservation",
             Violation::ControlTransitionInvalid { .. } => "control-transition",
             Violation::ControlUnjustified { .. } => "control-unjustified",
             Violation::ControlWhileDisabled { .. } => "control-disabled",
@@ -490,21 +469,7 @@ impl fmt::Display for Violation {
                 "site {site} resource {resource} series integrates to {series_total}, \
                  simulator integral is {integral}"
             ),
-            Violation::ShardRangeBroken {
-                shard,
-                claimed,
-                expected_start,
-            } => write!(
-                fm,
-                "shard {shard} claims sites [{}, {}) but must start at {expected_start}",
-                claimed.0, claimed.1
-            ),
-            Violation::ShardSiteOutOfRange { shard, site, range } => write!(
-                fm,
-                "shard {shard} recorded an event for site {site} outside [{}, {})",
-                range.0, range.1
-            ),
-            Violation::ShardConservationBroken { tag, detail } => {
+            Violation::CloneConservationBroken { tag, detail } => {
                 write!(fm, "clone tag {tag}: {detail}")
             }
             Violation::ControlTransitionInvalid {

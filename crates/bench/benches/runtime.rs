@@ -181,52 +181,7 @@ fn bench_serve_stream(b: &mut Bench) {
             );
         }
 
-        // Shard-count sweep (clean plan only): the sharded fabric must
-        // produce the identical run, so this measures pure execution
-        // cost — barrier overhead on few cores, parallel speedup on
-        // many. On a single-core host expect s1 to win; record the
-        // numbers honestly either way.
         if sites == 140 {
-            // (shards, batched barriers): the trailing (8, false) entry
-            // re-runs the widest sweep point on the reference
-            // two-broadcast protocol, so the recorded JSON shows what
-            // epoch batching buys at the same shard count.
-            for (n_shards, batching) in
-                [(1usize, true), (2, true), (4, true), (8, true), (8, false)]
-            {
-                let id = if batching {
-                    format!("p{sites}_s{n_shards}")
-                } else {
-                    format!("p{sites}_s{n_shards}_nobatch")
-                };
-                g.bench_batched(
-                    &id,
-                    || {
-                        let cfg = RuntimeConfig {
-                            f,
-                            max_in_flight: mpl,
-                            shards: n_shards,
-                            epoch_batching: batching,
-                            recovery: RecoveryConfig {
-                                backoff_base: 0.1 * mean_standalone,
-                                backoff_cap: 2.0 * mean_standalone,
-                                degrade_threshold: 0.25,
-                                ..RecoveryConfig::default()
-                            },
-                            ..RuntimeConfig::default()
-                        };
-                        let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-                        for (i, t) in arrivals.iter().enumerate() {
-                            rt.submit_at(*t, i % 3, templates[i % templates.len()].clone());
-                        }
-                        rt
-                    },
-                    |mut rt| {
-                        black_box(rt.run_to_completion().unwrap());
-                    },
-                );
-            }
-
             // MQO pair: the same overlap-templated stream served with
             // batched admission, once planning every window member
             // independently and once splicing shared subtrees through
@@ -363,50 +318,11 @@ fn bench_control(b: &mut Bench) {
     g.finish();
 }
 
-fn bench_barrier(b: &mut Bench) {
-    use mrs_shardexec::pool::{Command, ShardPool};
-    use mrs_shardexec::prelude::ShardState;
-    use mrs_sim::engine::{SimConfig, SiteSim};
-
-    // The gate in isolation: one NextTime broadcast + completion wait
-    // per round, measured as 100-round batches so a single park/unpark
-    // pair is resolvable above timer noise. Workers have 4 idle sites
-    // each, so the round is almost pure barrier cost. On a single-core
-    // host ShardPool::new picks spin budget 0 (cores <= shards), so
-    // every round takes the full park path — the worst case the
-    // relaxed orderings have to pay for.
-    let mut g = b.group("barrier");
-    g.sample_size(5);
-    for n_shards in [1usize, 4, 8] {
-        g.bench_batched(
-            &format!("roundtrip100_s{n_shards}"),
-            || {
-                let states = (0..n_shards)
-                    .map(|s| {
-                        let sims = (0..4)
-                            .map(|_| SiteSim::new(SimConfig::default(), 1))
-                            .collect();
-                        ShardState::new(s, s * 4, sims, 1)
-                    })
-                    .collect();
-                ShardPool::new(states)
-            },
-            |pool| {
-                for _ in 0..100 {
-                    pool.run(Command::NextTime);
-                }
-            },
-        );
-    }
-    g.finish();
-}
-
 fn main() {
     let mut b = Bench::from_args();
     bench_ledger(&mut b);
     bench_admission(&mut b);
     bench_stream(&mut b);
     bench_serve_stream(&mut b);
-    bench_barrier(&mut b);
     bench_control(&mut b);
 }

@@ -31,12 +31,11 @@
 //!   conservation and cache-epoch coherence audited from the trace).
 //! * `runtime-cache` — the templated `serve` stream (every plan
 //!   submitted twice: cache hits must be epoch-coherent).
-//! * `runtime-shards` — the X14 sharded-fabric runs (clean and faulty,
-//!   even and uneven shard splits): per-shard trace segments must tile
-//!   the site range, own every recorded event, and conserve every clone
-//!   through the canonical merge.
+//! * `runtime-clones` — the served stream, clean and faulty: the site
+//!   layer's clone-event log must conserve every clone (one dispatch,
+//!   at most one terminal event, never before the dispatch).
 //! * `runtime-controller` — the X15 overload runs (ramp and burst
-//!   arrival processes, shards 1 and 4) with the feedback controller
+//!   arrival processes) with the feedback controller
 //!   on: every recorded control decision must replay (one hysteresis
 //!   step, justified by its own pressure snapshot), and governed plans
 //!   must respect both the controller's cap and the paper's `CG_f`
@@ -48,9 +47,8 @@
 //! * `source-lint` — the `mrs-lint` scanner over the committed tree
 //!   itself: the determinism rules plus the `atomics` family (raw
 //!   primitives, ordering tokens, and thread spawns are confined to the
-//!   machine-checked `shardexec::sync` shim and the allowlisted
-//!   `par_map`). A cell is a scanned source file; a violation is an
-//!   unwaived finding.
+//!   allowlisted `par_map`). A cell is a scanned source file; a
+//!   violation is an unwaived finding.
 
 use crate::config::ExpConfig;
 use crate::report::Report;
@@ -59,8 +57,8 @@ use crate::tablefmt::Table;
 use crate::throughput::mixed_stream;
 use mrs_audit::lint::{lint_workspace, workspace_sources, Allowlist};
 use mrs_audit::prelude::{
-    audit_controller, audit_governed_degrees, audit_run, audit_shard_segments, audit_tree,
-    AuditOptions, Violation,
+    audit_clone_log, audit_controller, audit_governed_degrees, audit_run, audit_tree, AuditOptions,
+    Violation,
 };
 use mrs_baseline::prelude::{
     round_robin_tree_schedule, scalar_tree_schedule, synchronous_schedule,
@@ -431,50 +429,46 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         });
     }
 
-    // runtime-shards: the sharded fabric's trace segments. Shard count 3
-    // forces an uneven site split, so the range-partition check sees
-    // remainder-bearing ranges too.
+    // runtime-clones: clone conservation over the site layer's
+    // clone-event log, clean and under faults.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
-        for n_shards in [1usize, 3] {
-            for faulty in [false, true] {
-                let rt_cfg = RuntimeConfig {
-                    f,
-                    policy: AdmissionPolicy::Fcfs,
-                    max_in_flight: 4,
-                    faults: if faulty {
-                        FaultPlan::seeded(
-                            sites,
-                            60.0 * mean_standalone,
-                            4.0 * mean_standalone,
-                            0.3 * mean_standalone,
-                            cfg.seed ^ 0x0FA7_0FA7,
-                        )
-                    } else {
-                        FaultPlan::none()
-                    },
-                    deadline: faulty.then_some(60.0 * mean_standalone),
-                    recovery: recovery.clone(),
-                    shards: n_shards,
-                    util_series: true,
-                    ..RuntimeConfig::default()
-                };
-                let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-                for (q, t) in stream.iter().zip(&arrivals) {
-                    rt.submit_at(*t, q.client, q.problem.clone());
-                }
-                let summary = rt
-                    .run_to_completion()
-                    .expect("stream plans always schedule");
-                violations.extend(audit_run(&summary));
-                violations.extend(audit_shard_segments(&rt.shard_segments(), sites));
-                cells += 1;
+        for faulty in [false, true] {
+            let rt_cfg = RuntimeConfig {
+                f,
+                policy: AdmissionPolicy::Fcfs,
+                max_in_flight: 4,
+                faults: if faulty {
+                    FaultPlan::seeded(
+                        sites,
+                        60.0 * mean_standalone,
+                        4.0 * mean_standalone,
+                        0.3 * mean_standalone,
+                        cfg.seed ^ 0x0FA7_0FA7,
+                    )
+                } else {
+                    FaultPlan::none()
+                },
+                deadline: faulty.then_some(60.0 * mean_standalone),
+                recovery: recovery.clone(),
+                util_series: true,
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
+            for (q, t) in stream.iter().zip(&arrivals) {
+                rt.submit_at(*t, q.client, q.problem.clone());
             }
+            let summary = rt
+                .run_to_completion()
+                .expect("stream plans always schedule");
+            violations.extend(audit_run(&summary));
+            violations.extend(audit_clone_log(rt.clone_log()));
+            cells += 1;
         }
         families.push(FamilyResult {
-            family: "runtime-shards",
-            covers: "shards",
+            family: "runtime-clones",
+            covers: "throughput faults",
             cells,
             violations,
         });
@@ -508,36 +502,33 @@ pub fn audit(cfg: &ExpConfig) -> Report {
             ),
         ];
         for arrivals in &arrival_sets {
-            for n_shards in [1usize, 4] {
-                let rt_cfg = RuntimeConfig {
-                    f,
-                    policy: AdmissionPolicy::Fcfs,
-                    max_in_flight: 4,
-                    recovery: recovery.clone(),
-                    controller: ctl.clone(),
-                    shards: n_shards,
-                    ..RuntimeConfig::default()
-                };
-                let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-                for (q, t) in stream.iter().zip(arrivals) {
-                    rt.submit_at(*t, q.client, q.problem.clone());
-                }
-                let summary = rt
-                    .run_to_completion()
-                    .expect("stream plans always schedule");
-                if !summary
-                    .trace
-                    .iter()
-                    .any(|ev| matches!(ev, AuditEvent::ControlDecision { .. }))
-                {
-                    violations.push(Violation::ShapeMismatch {
-                        detail: "overload stream never engaged the controller".to_owned(),
-                    });
-                }
-                violations.extend(audit_run(&summary));
-                violations.extend(audit_controller(&summary, &ctl));
-                cells += 1;
+            let rt_cfg = RuntimeConfig {
+                f,
+                policy: AdmissionPolicy::Fcfs,
+                max_in_flight: 4,
+                recovery: recovery.clone(),
+                controller: ctl.clone(),
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
+            for (q, t) in stream.iter().zip(arrivals) {
+                rt.submit_at(*t, q.client, q.problem.clone());
             }
+            let summary = rt
+                .run_to_completion()
+                .expect("stream plans always schedule");
+            if !summary
+                .trace
+                .iter()
+                .any(|ev| matches!(ev, AuditEvent::ControlDecision { .. }))
+            {
+                violations.push(Violation::ShapeMismatch {
+                    detail: "overload stream never engaged the controller".to_owned(),
+                });
+            }
+            violations.extend(audit_run(&summary));
+            violations.extend(audit_controller(&summary, &ctl));
+            cells += 1;
         }
         // Governed offline plans: the controller's cap composes with the
         // paper caps instead of replacing them.
@@ -674,7 +665,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     notes.push(if total == 0 {
         "all families audit clean: Definition 5.1, CG_f cap, co-location, shelf order, \
          Theorem 5.1 certificates, fluid feasibility, conservation, cache coherence, \
-         shard trace merges, source lint"
+         clone logs, source lint"
             .to_owned()
     } else {
         format!("{total} violations — the scheduler broke a paper invariant (see rows above)")

@@ -5,13 +5,14 @@
 //! mrs-repro schedule [--seed N] [--joins J] [--sites P] [--eps E] [--f F]
 //! mrs-repro serve [--seed N] [--queries N] [--sites P] [--mpl M]
 //!                 [--load X] [--policy fcfs|svf|rr-fair]
-//!                 [--mtbf T] [--deadline D] [--templates K] [--shards S]
-//!                 [--no-batch] [--adaptive] [--batch W] [--no-share]
+//!                 [--mtbf T] [--deadline D] [--templates K]
+//!                 [--adaptive] [--batch W] [--no-share]
 //! ```
 //!
 //! Experiments: table2, fig5a, fig5b, fig6a, fig6b, ablation-dims,
-//! ablation-order, malleable, planopt, pipecheck, memcheck, optgap,
-//! simcheck, skew, throughput, faults, saturation, shards.
+//! ablation-order, malleable, planopt, pipecheck, memcheck, dimcheck,
+//! shelfcheck, optgap, simcheck, skew, throughput, faults, saturation,
+//! mqo, audit.
 //!
 //! `serve --mtbf T` injects a seeded site crash/recover schedule with
 //! mean time between failures `T` virtual seconds per site (MTTR is
@@ -19,13 +20,10 @@
 //! of arrival. `--templates K` draws the stream from `K` recurring query
 //! templates instead of all-distinct plans, exercising the plan-signature
 //! schedule cache (the printed cache line shows the amortization).
-//! `--shards S` partitions the sites over `S` parallel shard executors;
-//! the output is byte-identical for every `S` (that is the sharded
-//! fabric's contract — see the `shards` experiment), so the report
-//! deliberately never echoes the shard count. `--no-batch` disables
-//! batched epoch barriers and runs the reference two-broadcast protocol
-//! instead — same bytes, more coordination; it exists for measurement
-//! and cross-checking. `--adaptive` turns on the feedback overload
+//! Counts (`--seed`, `--queries`, `--sites`, `--mpl`, `--templates`,
+//! `--batch`) must be integers; `--mtbf` and `--deadline` must be finite
+//! and non-negative (`0`, the default, turns them off). `--adaptive`
+//! turns on the feedback overload
 //! controller ([`ControllerConfig::adaptive`]): a backpressure gate
 //! defers admissions while the fabric is saturated and a parallelism
 //! governor caps clone degrees under backlog; off (the default) the
@@ -51,11 +49,23 @@ fn usage() -> &'static str {
     "usage: mrs-repro [--seed N] [--fast] [--jobs N] [--csv DIR] <experiment>... | all | list\n\
        or: mrs-repro schedule [--seed N] [--joins J] [--sites P] [--eps E] [--f F]\n\
        or: mrs-repro serve [--seed N] [--queries N] [--sites P] [--mpl M] [--load X] \
-     [--policy fcfs|svf|rr-fair] [--mtbf T] [--deadline D] [--templates K] [--shards S] \
-     [--no-batch] [--adaptive] [--batch W] [--no-share]\n\
+     [--policy fcfs|svf|rr-fair] [--mtbf T] [--deadline D] [--templates K] \
+     [--adaptive] [--batch W] [--no-share]\n\
      experiments: table2 fig5a fig5b fig6a fig6b ablation-dims ablation-order \
      malleable planopt pipecheck memcheck dimcheck shelfcheck optgap simcheck skew throughput \
-     faults saturation shards mqo audit"
+     faults saturation mqo audit"
+}
+
+/// Parses `value` into `slot` (integers for counts, floats otherwise),
+/// leaving `slot` untouched and returning false on a parse error.
+fn parse_into<T: std::str::FromStr>(value: &str, slot: &mut T) -> bool {
+    match value.parse() {
+        Ok(v) => {
+            *slot = v;
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 /// `mrs-repro serve`: run a Poisson stream of generated queries through
@@ -81,8 +91,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
     let mut mtbf = 0.0f64;
     let mut deadline = 0.0f64;
     let mut templates = 0usize;
-    let mut shards = 1usize;
-    let mut batching = true;
     let mut adaptive = false;
     let mut batch = 0usize;
     let mut share = true;
@@ -100,14 +108,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
             share = false;
             continue;
         }
-        if arg == "--no-batch" {
-            // Fall back to the reference two-broadcast epoch protocol
-            // (one NextTime and one AdvanceDue round per epoch); the
-            // trajectory is bit-identical either way, so this exists to
-            // measure and to cross-check the batched fast path.
-            batching = false;
-            continue;
-        }
         if arg == "--policy" {
             policy = match it.next().map(String::as_str) {
                 Some("fcfs") => AdmissionPolicy::Fcfs,
@@ -121,34 +121,39 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
             };
             continue;
         }
-        let Some(value) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-            eprintln!("{arg} needs a numeric argument\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        match arg.as_str() {
-            "--seed" => seed = value as u64,
-            "--queries" => queries = value as usize,
-            "--sites" => sites = value as usize,
-            "--mpl" => mpl = value as usize,
-            "--load" => load = value,
-            "--mtbf" => mtbf = value,
-            "--deadline" => deadline = value,
-            "--templates" => templates = value as usize,
-            "--shards" => shards = value as usize,
-            "--batch" => batch = value as usize,
+        let value = it.next().map_or("", String::as_str);
+        let parsed = match arg.as_str() {
+            "--seed" => parse_into(value, &mut seed),
+            "--queries" => parse_into(value, &mut queries),
+            "--sites" => parse_into(value, &mut sites),
+            "--mpl" => parse_into(value, &mut mpl),
+            "--templates" => parse_into(value, &mut templates),
+            "--batch" => parse_into(value, &mut batch),
+            "--load" => parse_into(value, &mut load),
+            "--mtbf" => parse_into(value, &mut mtbf),
+            "--deadline" => parse_into(value, &mut deadline),
             other => {
                 eprintln!("unknown serve option {other:?}\n{}", usage());
                 return ExitCode::FAILURE;
             }
+        };
+        if !parsed {
+            eprintln!("{arg} got {value:?}, not a valid number\n{}", usage());
+            return ExitCode::FAILURE;
         }
     }
     if queries == 0 || sites == 0 || mpl == 0 || !(load.is_finite() && load > 0.0) {
         eprintln!("--queries, --sites, --mpl, and --load must be positive");
         return ExitCode::FAILURE;
     }
-    if shards == 0 {
-        eprintln!("--shards must be positive (1 = the single-threaded loop)");
-        return ExitCode::FAILURE;
+    for (name, value) in [("--mtbf", mtbf), ("--deadline", deadline)] {
+        if !(value.is_finite() && value >= 0.0) {
+            eprintln!(
+                "{name} must be finite and non-negative (0 = off), got {value}\n{}",
+                usage()
+            );
+            return ExitCode::FAILURE;
+        }
     }
 
     let cost = CostModel::paper_defaults();
@@ -201,8 +206,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         max_in_flight: mpl,
         faults,
         deadline: (deadline > 0.0).then_some(deadline),
-        shards,
-        epoch_batching: batching,
         batch_window: batch,
         plan_sharing: batch > 0 && share,
         controller: if adaptive {

@@ -7,8 +7,8 @@
 //! |---|---|
 //! | [`job`] | query identity, work volume, lifecycle records |
 //! | [`admission`] | the wait queue and its policies (FCFS, smallest-volume-first, round-robin fair) |
-//! | [`ledger`] | per-site residual-capacity bookkeeping (re-exported from `mrs-shardexec`, which slices it per shard) |
-//! | [`runtime`] | the deterministic event-driven dispatcher (single-threaded or sharded via `mrs-shardexec`) |
+//! | [`ledger`] | per-site residual-capacity bookkeeping (re-exported from `mrs-shardexec`'s site layer) |
+//! | [`runtime`] | the deterministic event-driven dispatcher over the `mrs-shardexec` site layer |
 //! | [`cache`] | the plan-signature schedule cache (template memoization, epoch invalidation) |
 //! | [`recovery`] | failure-aware rescheduling: re-packing lost work onto survivors |
 //! | [`control`] | adaptive overload control: the parallelism governor and backpressure admission gate |

@@ -37,13 +37,11 @@
 //! cursor over the time-sorted arrivals, so picking the next event costs
 //! O(1) instead of a fold per epoch.
 //!
-//! The site layer itself lives behind an `mrs-shardexec`
-//! [`Fabric`]: with [`RuntimeConfig::shards`] `== 1` (the default) it is
-//! an inline whole-machine shard — today's single-threaded loop — and
-//! with `N ≥ 2` the site-local epoch phases run on `N` pinned worker
-//! threads while every cross-shard effect stays serial on this event
-//! loop, so the [`RunSummary`] is byte-identical for any shard count
-//! (see the `mrs-shardexec` crate docs for the argument).
+//! The site layer itself lives behind an `mrs-shardexec` [`Fabric`]:
+//! the site simulators, their lazy calendar, the site ledger, and the
+//! clone-event log, all driven single-threaded from this event loop
+//! (the `mrs-shardexec` crate docs record why no parallel version
+//! stayed).
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{schedule_digest, schedule_footprint, PlanSignature, ScheduleCache};
@@ -63,10 +61,10 @@ use mrs_core::shared::{
 };
 use mrs_core::tree::{tree_schedule_capped, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
+use mrs_shardexec::clone_log::CloneEvent;
 use mrs_shardexec::fabric::Fabric;
-use mrs_shardexec::merge::{completions_sorted, sort_completions};
-use mrs_shardexec::segment::ShardSegment;
-use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
+use mrs_shardexec::order::{completions_sorted, sort_completions};
+use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim, UtilSample};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -156,18 +154,6 @@ pub struct RuntimeConfig {
     /// not bit-identical to a fresh plan — the cache's correctness
     /// harness. Default `false` (it defeats the cache's purpose).
     pub verify_cache: bool,
-    /// Shard executors for the site layer: `1` (the default) runs the
-    /// single-threaded loop inline; `N ≥ 2` partitions the sites over
-    /// `N` pinned worker threads. Bit-exact: the [`RunSummary`] is
-    /// byte-identical for any value (clamped to the site count).
-    pub shards: usize,
-    /// Batched epoch barriers (default `true`): the fabric caches
-    /// per-shard next-event times, skips shards with nothing due, runs
-    /// single-shard epochs inline, and fuses the next-time refresh into
-    /// the advance round. `false` restores the reference protocol (one
-    /// NextTime plus one AdvanceDue broadcast per epoch). Bit-exact:
-    /// toggling changes coordination cost, never any output.
-    pub epoch_batching: bool,
     /// Record each site's full per-step utilization time series on the
     /// summary ([`RunSummary::site_util_series`]). Bit-exact but
     /// memory-proportional to the event count; the exact utilization
@@ -211,8 +197,6 @@ impl Default for RuntimeConfig {
             recovery: RecoveryConfig::default(),
             schedule_cache: true,
             verify_cache: false,
-            shards: 1,
-            epoch_batching: true,
             util_series: false,
             controller: ControllerConfig::default(),
             batch_window: 0,
@@ -271,8 +255,8 @@ pub struct Runtime<M: ResponseModel> {
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
     pending: HashMap<QueryId, TreeProblem>,
-    /// The site layer: simulators, calendar, ledger, and audit segments,
-    /// single-threaded or sharded (see the [module docs](self)).
+    /// The site layer: simulators, calendar, ledger, and clone-event log
+    /// (see the [module docs](self)).
     fabric: Fabric,
     running: HashMap<QueryId, RunningQuery>,
     clones: HashMap<usize, CloneInfo>,
@@ -386,8 +370,7 @@ impl<M: ResponseModel> Runtime<M> {
         for ev in cfg.faults.events() {
             assert!(ev.site < sys.sites, "fault site {} out of range", ev.site);
         }
-        let mut fabric = Fabric::new(sims, d, cfg.shards);
-        fabric.set_batching(cfg.epoch_batching);
+        let mut fabric = Fabric::new(sims, d);
         if cfg.util_series {
             fabric.enable_util_series();
         }
@@ -438,13 +421,13 @@ impl<M: ResponseModel> Runtime<M> {
 
     /// The pressure signals as the controller would observe them right
     /// now (see [`PressureSample`]).
-    pub fn pressure_sample(&mut self) -> PressureSample {
+    pub fn pressure_sample(&self) -> PressureSample {
         PressureSample {
             time: self.clock,
             queue_depth: self.queue.len() + self.released.len(),
             retries: self.retries.len(),
-            alive: self.fabric.alive_sites(),
-            avg_load: self.fabric.avg_load(),
+            alive: self.fabric.ledger().alive_sites(),
+            avg_load: self.fabric.ledger().avg_load(),
         }
     }
 
@@ -455,23 +438,15 @@ impl<M: ResponseModel> Runtime<M> {
 
     /// Total clones currently committed across all sites (the ledger's
     /// scheduler-facing view; zero once a run fully drains).
-    pub fn total_resident(&mut self) -> usize {
-        self.fabric.total_resident()
+    pub fn total_resident(&self) -> usize {
+        self.fabric.ledger().total_resident()
     }
 
-    /// Number of shard executors actually running (after clamping to the
-    /// site count).
-    pub fn shards(&self) -> usize {
-        self.fabric.shards()
-    }
-
-    /// The per-shard audit-trace segments recorded so far, in shard
-    /// order. `mrs-audit`'s trace-merge checker re-sorts them into the
-    /// canonical global trace and verifies partitioning + clone
-    /// conservation; the canonical trace is byte-identical for any shard
-    /// count.
-    pub fn shard_segments(&mut self) -> Vec<ShardSegment> {
-        self.fabric.segments()
+    /// The site-level clone-event log recorded so far, in application
+    /// order: every dispatch, completion, crash loss, and eviction.
+    /// `mrs-audit`'s conservation checker replays it.
+    pub fn clone_log(&self) -> &[CloneEvent] {
+        self.fabric.clone_log()
     }
 
     /// Submits `problem` from `client`, arriving at virtual time
@@ -574,8 +549,6 @@ impl<M: ResponseModel> Runtime<M> {
             self.clock = t;
             completions.clear();
             self.fabric.advance_due(t, &mut completions);
-            // The fabric's merge of pre-sorted shard buffers already
-            // yields (time, tag) retirement order.
             debug_assert!(
                 completions_sorted(&completions),
                 "fabric surfaced completions out of (time, tag) order"
@@ -613,7 +586,7 @@ impl<M: ResponseModel> Runtime<M> {
                         ev.problem.take().expect("arrival consumed exactly once"),
                     )
                 };
-                let alive_frac = self.fabric.alive_sites() as f64 / self.sys.sites as f64;
+                let alive_frac = self.fabric.ledger().alive_sites() as f64 / self.sys.sites as f64;
                 let shed_reason = if alive_frac < self.cfg.recovery.degrade_threshold {
                     Some(ShedReason::AliveCount)
                 } else if self.controller.enabled() {
@@ -712,9 +685,8 @@ impl<M: ResponseModel> Runtime<M> {
         let mut buf = std::mem::take(&mut self.touch_buf);
         self.fabric.catch_up(site, self.clock, &mut buf);
         if !buf.is_empty() {
-            // Kept even with per-shard pre-sorting: a same-instant
-            // cascade inside one catch-up emits in the engine's
-            // active-array order, not tag order.
+            // A same-instant cascade inside one catch-up emits in the
+            // engine's active-array order, not tag order.
             sort_completions(&mut buf);
             for done in buf.drain(..) {
                 self.retire(done);
@@ -736,7 +708,7 @@ impl<M: ResponseModel> Runtime<M> {
                 }
                 self.touch_site(site);
                 // Evicts the residents, invalidates the calendar entry,
-                // and releases the site from its ledger slice.
+                // and releases the site from the ledger.
                 let lost = self.fabric.fail_site(site);
                 self.schedule_cache.bump_epoch(site);
                 self.audit_trace.push(AuditEvent::EpochBump {
@@ -829,7 +801,7 @@ impl<M: ResponseModel> Runtime<M> {
     /// `query`) onto the surviving sites, or parks them on a backoff
     /// retry, or — past the retry cap — aborts the query.
     fn handle_lost(&mut self, query: QueryId, works: Vec<WorkVector>, attempt: u32) {
-        let alive: Vec<SiteId> = self.fabric.alive_list();
+        let alive: Vec<SiteId> = self.fabric.ledger().alive_list();
         let replanned = if alive.is_empty() {
             None
         } else {
@@ -1017,8 +989,8 @@ impl<M: ResponseModel> Runtime<M> {
                 duration,
             };
             let demand: Vec<f64> = work.components().iter().map(|w| w / duration).collect();
-            // One fused cell round-trip: insert + ledger commit (the
-            // commit is skipped inside when the clone completes inline).
+            // Insert + ledger commit in one call (the commit is skipped
+            // when the clone completes inline).
             if self.fabric.place_clone(site.0, &clone, &demand).is_some() {
                 // Zero-duration clone: completed inline, nothing to
                 // track.
@@ -1091,7 +1063,7 @@ impl<M: ResponseModel> Runtime<M> {
             let mut live: Vec<(SiteId, WorkVector)> = Vec::new();
             let mut displaced: Vec<WorkVector> = Vec::new();
             for (site, work) in placements {
-                if self.fabric.is_alive(site.0) {
+                if self.fabric.ledger().is_alive(site) {
                     live.push((site, work));
                 } else {
                     displaced.push(work);
@@ -1134,7 +1106,7 @@ impl<M: ResponseModel> Runtime<M> {
         }
         if !self.running.is_empty() {
             if let Some(thr) = self.cfg.load_threshold {
-                if self.fabric.avg_load() >= thr {
+                if self.fabric.ledger().avg_load() >= thr {
                     return false;
                 }
             }
@@ -1358,13 +1330,14 @@ impl<M: ResponseModel> Runtime<M> {
         }
     }
 
-    fn summary(&mut self) -> RunSummary {
+    fn summary(&self) -> RunSummary {
         let horizon = self.clock;
+        let sims = self.fabric.sims();
         let mut s = RunSummary::new(
             self.cfg.policy.label(),
             horizon,
             self.records.clone(),
-            self.fabric.busy(),
+            sims.iter().map(|s| s.busy().to_vec()).collect(),
             self.depth_trace.clone(),
             self.fault_trace.clone(),
         );
@@ -1372,10 +1345,17 @@ impl<M: ResponseModel> Runtime<M> {
         s.cache.batches_released = self.batches_released;
         s.cache.batch_members = self.batch_members;
         s.trace = self.audit_trace.clone();
-        s.site_peak_util = self.fabric.peak_util();
-        s.site_util_integral = self.fabric.util_integral();
+        s.site_peak_util = sims.iter().map(|s| s.peak_util().to_vec()).collect();
+        s.site_util_integral = sims.iter().map(|s| s.util_integral().to_vec()).collect();
         if self.cfg.util_series {
-            s.site_util_series = self.fabric.util_series();
+            s.site_util_series = sims
+                .iter()
+                .map(|s| {
+                    s.util_series()
+                        .map(<[UtilSample]>::to_vec)
+                        .unwrap_or_default()
+                })
+                .collect();
         }
         s
     }
@@ -1625,7 +1605,7 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_completion_crash_and_deadline_share_one_barrier() {
+    fn same_instant_completion_crash_and_deadline_share_one_epoch() {
         // Queries rooted on disjoint sites: co-resident clones under
         // demand-proportional sharing drain together, so contention
         // would collapse the two finish times onto one instant.
@@ -1647,25 +1627,18 @@ mod tests {
 
         // Stage 2: a scripted crash on the long query's site and the
         // long query's deadline both land on that exact instant, so a
-        // single coalesced barrier round carries a completion, a
-        // fault, and a deadline expiry at once. The PR4 ordering must
-        // survive batching: the completion retires first, then the
-        // crash and the deadline kill the survivor — at every shard
-        // count, with batched barriers on and off.
-        let run = |shards: usize, batching: bool| {
-            let cfg = RuntimeConfig {
-                faults: FaultPlan::scripted(vec![crash(t, 1)]),
-                deadline: Some(t),
-                shards,
-                epoch_batching: batching,
-                ..RuntimeConfig::default()
-            };
-            let mut rt = runtime_with(cfg);
+        // single epoch carries a completion, a fault, and a deadline
+        // expiry at once. The completion retires first, then the crash
+        // and the deadline kill the survivor.
+        let cfg = RuntimeConfig {
+            faults: FaultPlan::scripted(vec![crash(t, 1)]),
+            deadline: Some(t),
+            ..RuntimeConfig::default()
+        };
+        let base = deterministic(cfg, |rt| {
             rt.submit_at(0.0, 0, rooted(10.0, 0));
             rt.submit_at(0.0, 0, rooted(40.0, 1));
-            rt.run_to_completion().unwrap()
-        };
-        let base = run(1, true);
+        });
         assert_eq!(
             base.queries[short.0].finish,
             Some(t),
@@ -1679,19 +1652,8 @@ mod tests {
             other => panic!("expected deadline abort, got {other:?}"),
         }
         assert_eq!(base.sites_failed(), 1);
-        // All three events share one barrier instant: the run ends there.
+        // All three events share one instant: the run ends there.
         assert_eq!(base.horizon.to_bits(), t.to_bits());
-        let base_digest = base.digest();
-        for batching in [true, false] {
-            for shards in [1usize, 2, 4] {
-                let summary = run(shards, batching);
-                assert_eq!(
-                    summary.digest(),
-                    base_digest,
-                    "diverged at shards={shards} batching={batching}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1724,32 +1686,21 @@ mod tests {
         ));
     }
 
-    /// Runs `cfg` with 1 and 4 shards and asserts byte-identical
-    /// summaries; returns the 1-shard summary.
-    fn shard_invariant(
+    /// Runs `cfg` twice over the same submissions and asserts identical
+    /// digests and fault traces; returns the first summary.
+    fn deterministic(
         cfg: RuntimeConfig,
         submit: impl Fn(&mut Runtime<OverlapModel>),
     ) -> RunSummary {
-        let mut base = None;
-        for shards in [1usize, 4] {
-            let mut rt = runtime_with(RuntimeConfig {
-                shards,
-                ..cfg.clone()
-            });
+        let run = || {
+            let mut rt = runtime_with(cfg.clone());
             submit(&mut rt);
-            let s = rt.run_to_completion().unwrap();
-            match &base {
-                None => base = Some(s),
-                Some(b) => {
-                    assert_eq!(b.digest(), s.digest(), "diverged at shards={shards}");
-                    assert_eq!(
-                        b.faults, s.faults,
-                        "fault trace diverged at shards={shards}"
-                    );
-                }
-            }
-        }
-        base.unwrap()
+            rt.run_to_completion().unwrap()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.digest(), b.digest(), "digest diverged across runs");
+        assert_eq!(a.faults, b.faults, "fault trace diverged across runs");
+        a
     }
 
     #[test]
@@ -1757,10 +1708,10 @@ mod tests {
         // Crash everything at t=1; backoff_base 2.0 parks the lost work
         // with a retry at exactly t=3.0, which is also the query's
         // deadline instant (arrival 0 + deadline 3). The event order at
-        // the shared barrier is fixed: the retry fires first (step 4,
+        // the shared instant is fixed: the retry fires first (step 4,
         // re-packing onto the recovered sites), the deadline expires
         // after (step 6) — so the trace shows a re-pack and then the
-        // abort at the same instant, identically at every shard count.
+        // abort at the same instant.
         let cfg = RuntimeConfig {
             faults: FaultPlan::scripted(vec![
                 crash(1.0, 0),
@@ -1779,7 +1730,7 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let summary = shard_invariant(cfg, |rt| {
+        let summary = deterministic(cfg, |rt| {
             rt.submit_at(0.0, 0, one_op_problem(40.0));
         });
         match &summary.queries[0].outcome {
@@ -1829,7 +1780,7 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let summary = shard_invariant(cfg, |rt| {
+        let summary = deterministic(cfg, |rt| {
             rt.submit_at(0.0, 0, one_op_problem(40.0));
         });
         assert_eq!(summary.queries[0].outcome, Some(QueryOutcome::Completed));
@@ -1870,7 +1821,7 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let summary = shard_invariant(cfg, |rt| {
+        let summary = deterministic(cfg, |rt| {
             rt.submit_at(0.0, 0, one_op_problem(40.0));
         });
         match &summary.queries[0].outcome {
@@ -1913,7 +1864,7 @@ mod tests {
             controller: overload_controller(),
             ..RuntimeConfig::default()
         };
-        let summary = shard_invariant(cfg.clone(), |rt| {
+        let summary = deterministic(cfg.clone(), |rt| {
             for q in 0..12 {
                 rt.submit_at(q as f64 * 0.2, q % 3, one_op_problem(20.0));
             }
@@ -1984,7 +1935,7 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let summary = shard_invariant(cfg, |rt| {
+        let summary = deterministic(cfg, |rt| {
             for q in 0..10 {
                 rt.submit_at(q as f64 * 0.1, 0, one_op_problem(20.0));
             }
@@ -2410,14 +2361,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_sharing_is_shard_invariant() {
+    fn batched_sharing_is_deterministic() {
         let cfg = RuntimeConfig {
             batch_window: 3,
             plan_sharing: true,
             max_in_flight: 2,
             ..RuntimeConfig::default()
         };
-        let summary = shard_invariant(cfg, |rt| {
+        let summary = deterministic(cfg, |rt| {
             for q in 0..6u64 {
                 rt.submit_at(
                     (q / 3) as f64 * 2.0,

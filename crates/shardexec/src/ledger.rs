@@ -11,12 +11,9 @@
 //! truth for realized utilization.
 //!
 //! The ledger lives in `mrs-shardexec` (re-exported as
-//! `mrs_runtime::ledger`) because the sharded fabric slices it: each
-//! [`ShardState`](crate::state::ShardState) owns a ledger over its own
-//! site range, and the coordinator reproduces the global aggregates with
-//! the order-preserving fold APIs ([`SiteLedger::fold_load`],
-//! [`SiteLedger::push_alive`]) so the float arithmetic is bit-identical
-//! to a single whole-machine ledger.
+//! `mrs_runtime::ledger`) beside the site simulators it mirrors: the
+//! [`Fabric`](crate::fabric::Fabric) commits a clone's demand in the
+//! same call that places it.
 
 use mrs_core::resource::SiteId;
 
@@ -33,6 +30,10 @@ pub struct SiteLedger {
     resident: Vec<usize>,
     peak: Vec<f64>,
     alive: Vec<bool>,
+    /// Number of `true` entries in `alive`, maintained by
+    /// [`SiteLedger::release_site`] / [`SiteLedger::restore_site`] so the
+    /// admission path's degraded-mode check is O(1).
+    alive_count: usize,
 }
 
 impl SiteLedger {
@@ -44,6 +45,7 @@ impl SiteLedger {
             resident: vec![0; sites],
             peak: vec![0.0; sites],
             alive: vec![true; sites],
+            alive_count: sites,
         }
     }
 
@@ -109,6 +111,9 @@ impl SiteLedger {
     /// are zeroed (the clones are gone) and it no longer counts toward
     /// [`SiteLedger::avg_load`]'s denominator.
     pub fn release_site(&mut self, site: SiteId) {
+        if self.alive[site.0] {
+            self.alive_count -= 1;
+        }
         self.alive[site.0] = false;
         for slot in &mut self.committed[site.0] {
             *slot = 0.0;
@@ -118,6 +123,9 @@ impl SiteLedger {
 
     /// Returns a released site to service (empty and idle).
     pub fn restore_site(&mut self, site: SiteId) {
+        if !self.alive[site.0] {
+            self.alive_count += 1;
+        }
         self.alive[site.0] = true;
     }
 
@@ -128,7 +136,15 @@ impl SiteLedger {
 
     /// Number of sites currently in service.
     pub fn alive_sites(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
+        self.alive_count
+    }
+
+    /// The alive sites in index order.
+    pub fn alive_list(&self) -> Vec<SiteId> {
+        (0..self.sites())
+            .filter(|s| self.alive[*s])
+            .map(SiteId)
+            .collect()
     }
 
     /// Mean [`SiteLedger::load`] over the *alive* sites — the admission
@@ -137,42 +153,18 @@ impl SiteLedger {
     /// shrunken machine; with every site dead the mean is `+∞`, which
     /// closes the gate entirely.
     pub fn avg_load(&self) -> f64 {
-        let alive = self.alive_sites();
-        if alive == 0 {
+        if self.alive_count == 0 {
             return f64::INFINITY;
         }
-        let total: f64 = (0..self.sites())
-            .filter(|s| self.alive[*s])
-            .map(|s| self.load(SiteId(s)))
-            .sum();
-        total / alive as f64
-    }
-
-    /// The shard-local step of a cross-shard [`SiteLedger::avg_load`]:
-    /// accumulates the loads of this ledger's alive sites onto `acc` in
-    /// site-index order and counts them into `alive`. Chaining the fold
-    /// across range-partitioned shard ledgers (in shard order) performs
-    /// the identical sequence of float additions as one whole-machine
-    /// ledger, so `acc / alive` is bit-identical to its `avg_load`.
-    pub fn fold_load(&self, acc: &mut f64, alive: &mut usize) {
+        // A left fold from +0.0 in site order: one fixed sequence of
+        // float additions, so the mean is bit-stable across runs.
+        let mut total = 0.0f64;
         for s in 0..self.sites() {
             if self.alive[s] {
-                *acc += self.load(SiteId(s));
-                *alive += 1;
+                total += self.load(SiteId(s));
             }
         }
-    }
-
-    /// Appends this ledger's alive sites to `out` as *global* site ids,
-    /// offsetting each local index by `base` (the shard's first site) —
-    /// the shard-local step of collecting the global alive-site list in
-    /// index order.
-    pub fn push_alive(&self, base: usize, out: &mut Vec<SiteId>) {
-        for s in 0..self.sites() {
-            if self.alive[s] {
-                out.push(SiteId(base + s));
-            }
-        }
+        total / self.alive_count as f64
     }
 
     /// Highest `l_∞` committed demand `site` ever reached.
@@ -260,39 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn sliced_fold_reproduces_global_avg_load_bitwise() {
-        // One 5-site ledger vs. a 3+2 split: identical commits, identical
-        // fold order, bit-identical mean.
-        let loads = [0.3, 0.7, 0.1, 0.9, 0.2];
-        let mut whole = SiteLedger::new(5, 1);
-        for (s, l) in loads.iter().enumerate() {
-            whole.commit(SiteId(s), &[*l]);
-        }
-        whole.release_site(SiteId(3));
-        let mut lo = SiteLedger::new(3, 1);
-        let mut hi = SiteLedger::new(2, 1);
-        for (s, l) in loads.iter().enumerate() {
-            if s < 3 {
-                lo.commit(SiteId(s), &[*l]);
-            } else {
-                hi.commit(SiteId(s - 3), &[*l]);
-            }
-        }
-        hi.release_site(SiteId(0));
-        let mut acc = 0.0;
-        let mut alive = 0;
-        lo.fold_load(&mut acc, &mut alive);
-        hi.fold_load(&mut acc, &mut alive);
-        assert_eq!(alive, whole.alive_sites());
-        assert_eq!(
-            (acc / alive as f64).to_bits(),
-            whole.avg_load().to_bits(),
-            "sliced fold must be bit-identical"
-        );
-        // Alive lists line up as global ids too.
-        let mut alive_list = Vec::new();
-        lo.push_alive(0, &mut alive_list);
-        hi.push_alive(3, &mut alive_list);
-        assert_eq!(alive_list, vec![SiteId(0), SiteId(1), SiteId(2), SiteId(4)]);
+    fn alive_count_tracks_repeated_releases_and_restores() {
+        let mut l = SiteLedger::new(3, 1);
+        l.release_site(SiteId(1));
+        l.release_site(SiteId(1));
+        assert_eq!(l.alive_sites(), 2);
+        assert_eq!(l.alive_list(), vec![SiteId(0), SiteId(2)]);
+        l.restore_site(SiteId(1));
+        l.restore_site(SiteId(1));
+        assert_eq!(l.alive_sites(), 3);
+        assert_eq!(l.alive_list(), vec![SiteId(0), SiteId(1), SiteId(2)]);
     }
 }

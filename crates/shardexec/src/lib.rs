@@ -1,86 +1,54 @@
-//! # mrs-shardexec — the sharded multi-core serving fabric
+//! # mrs-shardexec — the runtime's site layer
 //!
 //! The runtime's event loop interleaves two kinds of step:
 //!
-//! * **site-local** steps — computing each site's next completion time
+//! * **site-local** steps — computing the earliest pending completion
 //!   and advancing the sites whose completions are due — which touch one
 //!   site at a time and never read another site's state;
 //! * **epoch-global** steps — retiring completions, applying faults,
 //!   firing retries, admitting queries — which read and write cross-site
 //!   state (the admission queue, the clone table, the schedule cache).
 //!
-//! This crate parallelizes exactly the site-local steps. A [`ShardPlan`]
-//! partitions the `P` site indices into `N` contiguous, balanced ranges
-//! (a pure function of `(P, N)`, so it is stable for a given seed and
-//! config). Each shard owns its slice of the site simulators, its own
-//! lazy [`EventCalendar`](mrs_sim::calendar::EventCalendar), its own
-//! [`SiteLedger`] slice, and its own audit-trace [`ShardSegment`]. A
-//! pinned worker pool (one persistent thread per shard) advances the
-//! shards independently between *epoch boundaries* — the global event
-//! times the coordinator picks — and every cross-shard effect (a query's
-//! clones spanning shards, a crash/restore re-pack, a cache-epoch bump)
-//! is applied by the coordinator serially, in the same canonical order
-//! the single-threaded loop uses.
+//! This crate owns the site-local half. A [`Fabric`](fabric::Fabric)
+//! holds the `P` site simulators, one lazy
+//! [`EventCalendar`](mrs_sim::calendar::EventCalendar) over them, the
+//! [`SiteLedger`](ledger::SiteLedger) of committed demand, a cached
+//! next-event time, and the run's [clone-event log](clone_log): every
+//! dispatch, completion, crash loss, and eviction, in the order the
+//! fabric applied it. The runtime drives it single-threaded, one epoch
+//! at a time: [`next_time`](fabric::Fabric::next_time), then
+//! [`advance_due`](fabric::Fabric::advance_due), with the per-site
+//! mutations (place, crash, restore, evict) in between.
 //!
-//! ## Why the merge is byte-identical
+//! ## Why single-threaded
 //!
-//! Determinism does not come from synchronization tricks; it comes from
-//! the fluid engine's independence property: between population changes,
-//! a site's trajectory is a pure function of its own state. The epoch
-//! protocol only ever asks shards two questions, both site-local:
+//! Fabric advance is about 16% of the serving loop, so Amdahl's law caps
+//! any parallel speedup of this layer near 1.19x; a sharded version ran
+//! 1.68x *slower* at two shards than at one on a 2-core host. DESIGN.md
+//! ("Why the site layer is single-threaded") has the measurement. The
+//! crate keeps its historical name.
 //!
-//! 1. *next completion time* — the coordinator folds the per-shard
-//!    minima in shard order, which equals the global minimum exactly
-//!    (same multiset of `f64` values, `min` is associative on them);
-//! 2. *advance your due sites to `t`* — each shard advances its due
-//!    sites in local index order and sorts its completion buffer into
-//!    the runtime's canonical `(time, tag)` retirement order; the
-//!    coordinator k-way merges the pre-sorted buffers ([`merge`]),
-//!    which reproduces the serial loop's globally sorted sequence
-//!    because the key is total (tags are unique per dispatch).
+//! ## Determinism
 //!
-//! Every float operation therefore happens on the same operands in the
-//! same order as the single-threaded loop, and [`Fabric::new`] with one
-//! shard short-circuits to an inline [`ShardState`] that *is* the
-//! single-threaded loop.
-//!
-//! ## Amortized coordination
-//!
-//! The [`Fabric`] keeps a per-shard cache of next-event times, dirtied
-//! only when the coordinator mutates a site in that shard, so the
-//! next-time question usually costs zero broadcasts — each advance
-//! barrier refreshes the answer as it runs (the fused min-fold). An
-//! advance whose due set is a single shard bypasses the barrier
-//! entirely and runs inline through the (uncontended) cell lock, so on
-//! a quiet machine a sharded epoch costs about what a single-threaded
-//! epoch does. The barrier itself ([`pool`]) is a sense-reversing
-//! spin-then-park gate on atomics — no condvar, no mutex on the
-//! broadcast path.
-//!
-//! The per-shard [`ShardSegment`] traces are the observable evidence:
-//! `mrs-audit`'s merge checker verifies that the segments partition the
-//! site range, conserve every dispatched clone, and re-sort to one
-//! canonical global trace that is identical for any shard count.
+//! Completions surface in the runtime's canonical `(time, tag)`
+//! retirement order ([`order`]), sites advance in index order, and the
+//! ledger's aggregates fold in site order, so two runs over the same
+//! submissions produce identical bytes. `mrs-audit` checks the clone log
+//! for conservation: every clone dispatched exactly once, at most one
+//! terminal event, never before its dispatch.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod clone_log;
 pub mod fabric;
-pub mod gate;
 pub mod ledger;
-pub mod merge;
-pub mod plan;
-pub mod pool;
-pub mod segment;
-pub mod state;
-pub mod sync;
+pub mod order;
 
 /// One-stop imports.
 pub mod prelude {
+    pub use crate::clone_log::{canonical_log, CloneEvent, CloneEventKind};
     pub use crate::fabric::Fabric;
     pub use crate::ledger::SiteLedger;
-    pub use crate::merge::{merge_sorted_completions, sort_completions};
-    pub use crate::plan::ShardPlan;
-    pub use crate::segment::{merge_segments, ShardEvent, ShardEventKind, ShardSegment};
-    pub use crate::state::ShardState;
+    pub use crate::order::{completions_sorted, sort_completions};
 }
