@@ -12,6 +12,12 @@
 //! * [`roundrobin`] — TREESCHEDULE with round-robin placement (isolates
 //!   the value of load-aware packing altogether).
 //!
+//! The two TREESCHEDULE variants are packing rules over core's one shelf
+//! walk, [`mrs_core::tree::phased_schedule`]: the same MinShelf phases,
+//! probe←build home propagation and [`mrs_core::tree::governed_degree`]
+//! degrees (uncapped) as [`mrs_core::tree::tree_schedule`], with each
+//! packed phase validated in release builds too.
+//!
 //! All baselines are evaluated with the same multi-dimensional response
 //! time model (Equation 3) as TREESCHEDULE.
 
@@ -22,7 +28,6 @@ pub mod alloc;
 pub mod roundrobin;
 pub mod scalar_list;
 pub mod synchronous;
-pub(crate) mod util;
 
 /// One-stop imports.
 pub mod prelude {

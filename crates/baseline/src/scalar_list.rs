@@ -15,7 +15,9 @@ use mrs_core::model::ResponseModel;
 use mrs_core::operator::Placement;
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
-use mrs_core::tree::{TreeProblem, TreeScheduleResult};
+use mrs_core::tree::{
+    governed_degree, phased_schedule, PhasePolicy, TreeProblem, TreeScheduleResult,
+};
 use mrs_core::vector::WorkVector;
 
 /// Packs clones choosing the site with the minimum *scalar* load among
@@ -94,16 +96,21 @@ pub fn scalar_tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    crate::util::phased_schedule(problem, f, sys, comm, model, |specs| {
-        let scheduled: Vec<ScheduledOperator> = specs
+    phased_schedule(problem, sys, model, PhasePolicy::Alap, |ops| {
+        let scheduled: Vec<ScheduledOperator> = ops
             .into_iter()
-            .map(|(spec, degree)| ScheduledOperator::even(spec, degree, comm, &sys.site))
+            .map(|(spec, dependent)| {
+                let degree = governed_degree(&spec, dependent, f, sys, comm, model, None);
+                ScheduledOperator::even(spec, degree, comm, &sys.site)
+            })
             .collect();
         let assignment = pack_clones_scalar(&scheduled, sys)?;
-        Ok(PhaseSchedule {
+        let schedule = PhaseSchedule {
             ops: scheduled,
             assignment,
-        })
+        };
+        schedule.validate(sys)?;
+        Ok(schedule)
     })
 }
 

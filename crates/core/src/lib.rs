@@ -85,8 +85,8 @@ pub mod prelude {
     pub use crate::comm::CommModel;
     pub use crate::error::ScheduleError;
     pub use crate::list::{
-        operator_schedule, operator_schedule_with_order, pack_clones, pack_clones_in,
-        schedule_with_degrees, schedule_with_degrees_in, ListOrder, PackScratch,
+        operator_schedule, pack_clones, pack_clones_in, schedule_with_degrees,
+        schedule_with_degrees_in, ListOrder, PackScratch,
     };
     pub use crate::malleable::{
         lb_for_parallelization, malleable_schedule, malleable_schedule_in, MalleableOutcome,
@@ -108,9 +108,9 @@ pub mod prelude {
     };
     pub use crate::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
     pub use crate::tree::{
-        coupled_degree, malleable_tree_schedule, tree_schedule, tree_schedule_capped,
-        tree_schedule_full, tree_schedule_governed, tree_schedule_with_order, PhasePolicy,
-        PhaseResult, TreeProblem, TreeScheduleResult,
+        coupled_degree, governed_degree, malleable_tree_schedule, phased_schedule, tree_schedule,
+        tree_schedule_capped, tree_schedule_with, PhasePolicy, PhaseResult, TreeProblem,
+        TreeScheduleOptions, TreeScheduleResult,
     };
     pub use crate::vector::WorkVector;
 }

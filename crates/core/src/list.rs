@@ -27,10 +27,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Order in which floating clones are considered by the list rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ListOrder {
     /// The paper's rule: non-increasing `l(w̄)` (longest-processing-time
     /// analogue). Required by the Theorem 5.1 proof machinery.
+    #[default]
     LongestFirst,
     /// Input order — an ablation knob quantifying how much the LPT
     /// ordering buys (experiment X2).
@@ -323,20 +324,6 @@ pub fn operator_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<PhaseSchedule, ScheduleError> {
-    operator_schedule_with_order(ops, f, sys, comm, model, ListOrder::LongestFirst)
-}
-
-/// [`operator_schedule`] with an explicit clone-consideration order — the
-/// `Arbitrary` variant quantifies what the LPT ordering contributes
-/// (ablation experiment X2).
-pub fn operator_schedule_with_order<M: ResponseModel>(
-    ops: Vec<OperatorSpec>,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: ListOrder,
-) -> Result<PhaseSchedule, ScheduleError> {
     let scheduled = ops
         .into_iter()
         .map(|spec| {
@@ -349,7 +336,7 @@ pub fn operator_schedule_with_order<M: ResponseModel>(
             ScheduledOperator::even(spec, degree, comm, &sys.site)
         })
         .collect::<Vec<_>>();
-    let assignment = pack_clones(&scheduled, sys, order)?;
+    let assignment = pack_clones(&scheduled, sys, ListOrder::LongestFirst)?;
     let schedule = PhaseSchedule {
         ops: scheduled,
         assignment,

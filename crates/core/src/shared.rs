@@ -24,12 +24,14 @@
 //! ## Relation to `tree_schedule`
 //!
 //! The shared planner is a *different deterministic strategy*, not a
-//! drop-in replay of [`crate::tree::tree_schedule_governed`]: the
-//! governed scheduler packs all tasks of a shelf level together (one
-//! list-scheduling pass over the concatenated operator list), so a
-//! subtree's packing depends on its siblings and cannot be reused
-//! across queries. The shared planner instead packs each task's
-//! pipeline alone and composes phases by concatenation, recomputing
+//! drop-in replay of [`crate::tree::tree_schedule_with`]: that
+//! scheduler's shelf walk ([`crate::tree::phased_schedule`]) packs all
+//! tasks of a shelf level together (one list-scheduling pass over the
+//! concatenated operator list), so a subtree's packing depends on its
+//! siblings and cannot be reused across queries. The shared planner
+//! instead walks the task tree, packs each task's pipeline alone at the
+//! same [`crate::tree::governed_degree`]s with the same probe←build
+//! rooting, and composes phases by concatenation, recomputing
 //! each merged level's makespan under the fluid model. Merged phases
 //! may time-share sites across fragments — legal under Definition 5.1,
 //! which only forbids two clones of *one* operator from sharing a site.
@@ -51,7 +53,7 @@ use crate::model::ResponseModel;
 use crate::operator::{OperatorId, Placement};
 use crate::resource::{SiteId, SystemSpec};
 use crate::schedule::{Assignment, PhaseSchedule};
-use crate::tree::{coupled_degree, PhaseResult, TreeProblem, TreeScheduleResult};
+use crate::tree::{governed_degree, Bindings, PhaseResult, TreeProblem, TreeScheduleResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -442,12 +444,7 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
     let n = nodes.len();
     let index = SubtreeIndex::build(problem, f, cap);
 
-    let mut binding_of: BTreeMap<OperatorId, OperatorId> = BTreeMap::new();
-    let mut dependent_of: BTreeMap<OperatorId, OperatorId> = BTreeMap::new();
-    for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
-    }
+    let bindings = Bindings::of(problem);
 
     let mut stats = SharedStats::default();
     let mut homes: BTreeMap<OperatorId, Vec<SiteId>> = BTreeMap::new();
@@ -501,30 +498,9 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                     empty_phase()
                 } else {
                     let mut specs = Vec::with_capacity(nodes[t].ops.len());
-                    for id in &nodes[t].ops {
-                        let mut spec = problem.ops[id.0].clone();
-                        if let Some(source) = binding_of.get(id) {
-                            let placed = homes.get(source).ok_or_else(|| {
-                                ScheduleError::MalformedTaskGraph {
-                                    detail: format!(
-                                        "shared planning: binding source {source} for {id} \
-                                         not placed before its dependent's task"
-                                    ),
-                                }
-                            })?;
-                            spec.placement = Placement::Rooted(placed.clone());
-                        }
-                        let degree = match &spec.placement {
-                            Placement::Rooted(h) => h.len(),
-                            Placement::Floating => {
-                                let dependent = dependent_of.get(id).map(|dep| &problem.ops[dep.0]);
-                                let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
-                                match cap {
-                                    Some(c) => chosen.min(c.max(1)),
-                                    None => chosen,
-                                }
-                            }
-                        };
+                    for &id in &nodes[t].ops {
+                        let (spec, dependent) = bindings.bind(id, &homes)?;
+                        let degree = governed_degree(&spec, dependent, f, sys, comm, model, cap);
                         specs.push((spec, degree));
                     }
                     let ph = schedule_with_degrees_in(

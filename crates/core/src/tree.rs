@@ -5,7 +5,7 @@
 //! phase equal to its depth from the root (MinShelf \[TL93\]); phases run
 //! deepest first, and phase `i` starts only after phase `i+1` completes.
 //! Within each phase the independent tasks' operators are scheduled with
-//! [`operator_schedule`](crate::list::operator_schedule).
+//! the list rule of [`operator_schedule`](crate::list::operator_schedule).
 //!
 //! Scheduling decisions made in earlier (deeper) phases impose data
 //! placement constraints on later phases (Section 5.5): a hash-join probe
@@ -13,15 +13,24 @@
 //! table — with the build's degree of parallelism. These constraints are
 //! expressed as [`HomeBinding`]s and turn floating operators into rooted
 //! ones as phases complete.
+//!
+//! [`phased_schedule`] is the one shelf walk: validation, shelf order,
+//! probe←build rooting, home propagation and the makespan sum. Every
+//! phased scheduler is a packing rule over it — [`tree_schedule_with`]
+//! (coarse-grain degrees, optionally capped), [`malleable_tree_schedule`]
+//! (GF-swept degrees) and the `mrs-baseline` round-robin and scalar
+//! packers.
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
+use crate::list::{schedule_with_degrees_in, ListOrder, PackScratch};
 use crate::model::ResponseModel;
 use crate::operator::{OperatorId, OperatorSpec, Placement};
 
 use crate::resource::{SiteId, SystemSpec};
 use crate::schedule::PhaseSchedule;
 use crate::tasks::{HomeBinding, TaskGraph};
+use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 /// A complete TREESCHEDULE input: the plan's operators, its query task
@@ -120,6 +129,34 @@ impl TreeScheduleResult {
     }
 }
 
+/// How tasks are grouped into synchronized phases (shelves).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum PhasePolicy {
+    /// The paper's MinShelf \[TL93\]: each task runs in the phase closest
+    /// to the root permitted by the blocking constraints (shelf index =
+    /// depth from the root; as-late-as-possible).
+    #[default]
+    Alap,
+    /// As-soon-as-possible: each task runs as early as its blocking
+    /// predecessors allow (shelf index = height above the deepest leaf
+    /// descendant). Shallow side-branches execute earlier than under
+    /// ALAP, changing which tasks share a shelf.
+    Asap,
+}
+
+/// The knobs of one TREESCHEDULE run. The default is the paper's
+/// algorithm: LPT list order, MinShelf (ALAP) phases, no degree cap.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TreeScheduleOptions {
+    /// Clone order for each phase's list packing (ablation X2).
+    pub order: ListOrder,
+    /// Shelf policy (ablation X11).
+    pub policy: PhasePolicy,
+    /// Governed clone-degree cap (see [`governed_degree`]); `None`
+    /// leaves the paper's coarse-grain degrees untouched.
+    pub cap: Option<usize>,
+}
+
 /// Runs TREESCHEDULE: phases from `height(T)` down to `0`, each scheduled
 /// with OPERATORSCHEDULE; probes bound to already-placed builds become
 /// rooted (inheriting home and degree) before their phase is packed.
@@ -134,13 +171,63 @@ pub fn tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_with_order(
-        problem,
-        f,
-        sys,
-        comm,
-        model,
-        crate::list::ListOrder::LongestFirst,
+    tree_schedule_with(problem, f, sys, comm, model, TreeScheduleOptions::default())
+}
+
+/// [`tree_schedule`] under a governed clone-degree cap — the seam the
+/// runtime's overload controller actuates: each governor level shrinks
+/// the cap, trading intra-query parallelism (and its per-clone EA1
+/// startup overhead) for inter-query capacity. `None` reproduces
+/// [`tree_schedule`] bit for bit.
+pub fn tree_schedule_capped<M: ResponseModel>(
+    problem: &TreeProblem,
+    f: f64,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    cap: Option<usize>,
+) -> Result<TreeScheduleResult, ScheduleError> {
+    let opts = TreeScheduleOptions {
+        cap,
+        ..TreeScheduleOptions::default()
+    };
+    tree_schedule_with(problem, f, sys, comm, model, opts)
+}
+
+/// The fully general TREESCHEDULE: explicit list order, shelf policy,
+/// and governed degree cap. Each phase's operators get their
+/// [`governed_degree`] and are list-packed in `opts.order`.
+pub fn tree_schedule_with<M: ResponseModel>(
+    problem: &TreeProblem,
+    f: f64,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    opts: TreeScheduleOptions,
+) -> Result<TreeScheduleResult, ScheduleError> {
+    // One packing scratch reused by every phase (allocation-free after
+    // the first shelf).
+    let mut scratch = PackScratch::new();
+    phased_schedule(problem, sys, model, opts.policy, |ops| {
+        let specs = ops
+            .into_iter()
+            .map(|(spec, dependent)| {
+                let degree = governed_degree(&spec, dependent, f, sys, comm, model, opts.cap);
+                (spec, degree)
+            })
+            .collect();
+        schedule_with_degrees_in(&mut scratch, specs, sys, comm, opts.order)
+    })
+}
+
+/// The combined build+probe operator a binding source is sized by (see
+/// [`coupled_degree`]): summed processing vectors and data volumes.
+fn coupled_spec(spec: &OperatorSpec, dependent: &OperatorSpec) -> OperatorSpec {
+    OperatorSpec::floating(
+        spec.id,
+        spec.kind,
+        &spec.processing + &dependent.processing,
+        spec.data_volume + dependent.data_volume,
     )
 }
 
@@ -163,123 +250,121 @@ pub fn coupled_degree<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> usize {
+    let choose = |op: &OperatorSpec| {
+        crate::partition::choose_degree(op, f, sys.sites, comm, &sys.site, model).degree
+    };
     match dependent {
-        None => crate::partition::choose_degree(spec, f, sys.sites, comm, &sys.site, model).degree,
-        Some(dep) => {
-            let combined = OperatorSpec::floating(
-                spec.id,
-                spec.kind,
-                &spec.processing + &dep.processing,
-                spec.data_volume + dep.data_volume,
-            );
-            crate::partition::choose_degree(&combined, f, sys.sites, comm, &sys.site, model).degree
+        None => choose(spec),
+        Some(dep) => choose(&coupled_spec(spec, dep)),
+    }
+}
+
+/// The degree TREESCHEDULE gives `spec` in its phase: a rooted operator
+/// keeps its pinned degree (data placement is a correctness constraint,
+/// not a parallelism choice); a floating one gets its
+/// [`coupled_degree`], lowered to `cap` (clamped to at least 1) when
+/// governed. The cap only ever lowers degrees, so the coarse-grain
+/// speed-down constraint stays satisfied.
+pub fn governed_degree<M: ResponseModel>(
+    spec: &OperatorSpec,
+    dependent: Option<&OperatorSpec>,
+    f: f64,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    cap: Option<usize>,
+) -> usize {
+    match &spec.placement {
+        Placement::Rooted(homes) => homes.len(),
+        Placement::Floating => {
+            let chosen = coupled_degree(spec, dependent, f, sys, comm, model);
+            cap.map_or(chosen, |c| chosen.min(c.max(1)))
         }
     }
 }
 
-/// How tasks are grouped into synchronized phases (shelves).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhasePolicy {
-    /// The paper's MinShelf \[TL93\]: each task runs in the phase closest
-    /// to the root permitted by the blocking constraints (shelf index =
-    /// depth from the root; as-late-as-possible).
-    Alap,
-    /// As-soon-as-possible: each task runs as early as its blocking
-    /// predecessors allow (shelf index = height above the deepest leaf
-    /// descendant). Shallow side-branches execute earlier than under
-    /// ALAP, changing which tasks share a shelf.
-    Asap,
+/// Probe ← build binding lookups in both directions.
+pub(crate) struct Bindings<'a> {
+    problem: &'a TreeProblem,
+    source_of: HashMap<OperatorId, OperatorId>,
+    dependent_of: HashMap<OperatorId, OperatorId>,
 }
 
-/// [`tree_schedule`] with an explicit list order for each phase's packing
-/// (ablation experiment X2).
-pub fn tree_schedule_with_order<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: crate::list::ListOrder,
-) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_full(problem, f, sys, comm, model, order, PhasePolicy::Alap)
-}
-
-/// [`tree_schedule_full`] with the default order and policy plus an
-/// optional governed clone-degree cap.
-///
-/// `cap` bounds the degree chosen for every *floating* operator:
-/// `degree = min(coupled_degree, cap)` (clamped to at least 1). The cap
-/// only ever lowers degrees, so the paper's coarse-grain speed-down
-/// constraint stays satisfied; rooted operators keep their pinned homes
-/// untouched (data placement is a correctness constraint, not a
-/// parallelism choice). `None` reproduces [`tree_schedule`] bit for bit.
-///
-/// This is the seam the runtime's overload controller actuates: each
-/// governor level shrinks the cap, trading intra-query parallelism (and
-/// its per-clone EA1 startup overhead) for inter-query capacity.
-pub fn tree_schedule_capped<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    cap: Option<usize>,
-) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_governed(
-        problem,
-        f,
-        sys,
-        comm,
-        model,
-        crate::list::ListOrder::LongestFirst,
-        PhasePolicy::Alap,
-        cap,
-    )
-}
-
-/// The most general *ungoverned* TREESCHEDULE entry point: explicit list
-/// order *and* shelf policy (ablation X11).
-pub fn tree_schedule_full<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: crate::list::ListOrder,
-    policy: PhasePolicy,
-) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_governed(problem, f, sys, comm, model, order, policy, None)
-}
-
-/// The fully general TREESCHEDULE: explicit list order, shelf policy,
-/// and governed degree cap (see [`tree_schedule_capped`]).
-#[allow(clippy::too_many_arguments)]
-pub fn tree_schedule_governed<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: crate::list::ListOrder,
-    policy: PhasePolicy,
-    cap: Option<usize>,
-) -> Result<TreeScheduleResult, ScheduleError> {
-    problem.validate()?;
-    // binding lookups: dependent -> source and source -> dependent.
-    let mut binding_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    let mut dependent_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
+impl<'a> Bindings<'a> {
+    pub(crate) fn of(problem: &'a TreeProblem) -> Self {
+        let mut source_of = HashMap::new();
+        let mut dependent_of = HashMap::new();
+        for b in &problem.bindings {
+            source_of.insert(b.dependent, b.source);
+            dependent_of.insert(b.source, b.dependent);
+        }
+        Bindings {
+            problem,
+            source_of,
+            dependent_of,
+        }
     }
 
-    let mut placed_homes: HashMap<OperatorId, Vec<SiteId>> = HashMap::new();
-    let mut phases = Vec::new();
-    let mut response_time = 0.0;
+    /// Operator `id`'s spec — rooted at its binding source's `placed`
+    /// homes when it is a dependent — paired with the spec of the
+    /// dependent it sizes for when it is a source.
+    ///
+    /// # Errors
+    /// [`ScheduleError::MalformedTaskGraph`] when `id`'s source has no
+    /// placed homes yet.
+    pub(crate) fn bind(
+        &self,
+        id: OperatorId,
+        placed: &BTreeMap<OperatorId, Vec<SiteId>>,
+    ) -> Result<(OperatorSpec, Option<&'a OperatorSpec>), ScheduleError> {
+        let mut spec = self.problem.ops[id.0].clone();
+        if let Some(source) = self.source_of.get(&id) {
+            let homes = placed
+                .get(source)
+                .ok_or_else(|| ScheduleError::MalformedTaskGraph {
+                    detail: format!(
+                        "binding source {source} for {id} was not placed before its dependent"
+                    ),
+                })?;
+            spec.placement = Placement::Rooted(homes.clone());
+        }
+        let dependent = self
+            .dependent_of
+            .get(&id)
+            .map(|dep| &self.problem.ops[dep.0]);
+        Ok((spec, dependent))
+    }
+}
 
-    // Shelf index per task, and the order phases execute in. ALAP runs
-    // depth high->low; ASAP runs height low->high. Either way a task's
-    // blocking predecessors land in strictly earlier phases.
+/// The shelf walk every phased scheduler shares.
+///
+/// Validates `problem`, groups its tasks into shelves under `policy`
+/// (ALAP runs depth high→low; ASAP runs height low→high — either way a
+/// task's blocking predecessors land in strictly earlier phases), and
+/// for each non-empty shelf hands `pack_phase` the shelf's operators as
+/// `(spec, dependent)` pairs: bound probes already rooted at their
+/// build's placed homes, binding sources paired with the dependent that
+/// sizes them. The packed phase's homes are recorded for later shelves
+/// and its makespan under `model` is summed into the response time.
+///
+/// # Errors
+/// Propagates [`TreeProblem::validate`], `pack_phase`, and a binding
+/// whose source has not been placed when its dependent's shelf packs
+/// (possible under ASAP, which may run a shallow source's shelf after
+/// its dependent's).
+pub fn phased_schedule<'a, M, F>(
+    problem: &'a TreeProblem,
+    sys: &SystemSpec,
+    model: &M,
+    policy: PhasePolicy,
+    mut pack_phase: F,
+) -> Result<TreeScheduleResult, ScheduleError>
+where
+    M: ResponseModel,
+    F: FnMut(Vec<(OperatorSpec, Option<&'a OperatorSpec>)>) -> Result<PhaseSchedule, ScheduleError>,
+{
+    problem.validate()?;
+    let bindings = Bindings::of(problem);
     let shelf_of: Vec<usize> = match policy {
         PhasePolicy::Alap => (0..problem.tasks.len())
             .map(|t| problem.tasks.depth(crate::tasks::TaskId(t)))
@@ -292,52 +377,24 @@ pub fn tree_schedule_governed<M: ResponseModel>(
         PhasePolicy::Asap => (0..=max_shelf).collect(),
     };
 
-    // One packing scratch reused by every phase (allocation-free after
-    // the first shelf).
-    let mut scratch = crate::list::PackScratch::new();
+    let mut placed: BTreeMap<OperatorId, Vec<SiteId>> = BTreeMap::new();
+    let mut phases = Vec::new();
+    let mut response_time = 0.0;
     for level in shelf_order {
-        let mut op_ids: Vec<OperatorId> = Vec::new();
+        let mut ops = Vec::new();
         for (t, node) in problem.tasks.nodes().iter().enumerate() {
             if shelf_of[t] == level {
-                op_ids.extend_from_slice(&node.ops);
+                for &id in &node.ops {
+                    ops.push(bindings.bind(id, &placed)?);
+                }
             }
         }
-        if op_ids.is_empty() {
+        if ops.is_empty() {
             continue;
         }
-        let mut specs = Vec::with_capacity(op_ids.len());
-        for id in &op_ids {
-            let mut spec = problem.ops[id.0].clone();
-            if let Some(source) = binding_of.get(id) {
-                let homes =
-                    placed_homes
-                        .get(source)
-                        .ok_or_else(|| ScheduleError::MalformedTaskGraph {
-                            detail: format!(
-                            "binding source {source} for {id} was not scheduled in an earlier phase"
-                        ),
-                        })?;
-                spec.placement = Placement::Rooted(homes.clone());
-            }
-            let degree = match &spec.placement {
-                Placement::Rooted(homes) => homes.len(),
-                Placement::Floating => {
-                    let dependent = dependent_of.get(id).map(|dep| &problem.ops[dep.0]);
-                    let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
-                    // The governed cap only ever lowers degrees (CG_f
-                    // stays satisfied); rooted placements are exempt.
-                    match cap {
-                        Some(c) => chosen.min(c.max(1)),
-                        None => chosen,
-                    }
-                }
-            };
-            specs.push((spec, degree));
-        }
-        let schedule =
-            crate::list::schedule_with_degrees_in(&mut scratch, specs, sys, comm, order)?;
+        let schedule = pack_phase(ops)?;
         for (i, sop) in schedule.ops.iter().enumerate() {
-            placed_homes.insert(sop.spec.id, schedule.assignment.homes[i].clone());
+            placed.insert(sop.spec.id, schedule.assignment.homes[i].clone());
         }
         let makespan = schedule.makespan(sys, model);
         debug_assert!(
@@ -376,93 +433,25 @@ pub fn malleable_tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    problem.validate()?;
-    let mut binding_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    let mut dependent_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
-    }
-
-    let mut placed_homes: HashMap<OperatorId, Vec<SiteId>> = HashMap::new();
-    let mut phases = Vec::new();
-    let mut response_time = 0.0;
-
-    let height = problem.tasks.height();
     // One packing scratch shared by the GF sweep's candidate packing and
     // the final per-phase packing, reused across phases.
-    let mut scratch = crate::list::PackScratch::new();
-    for level in (0..=height).rev() {
-        let op_ids = problem.tasks.ops_at_level(level);
-        if op_ids.is_empty() {
-            continue;
-        }
-        // Real specs (scheduled) and sizing specs (drive the GF sweep).
-        let mut specs = Vec::with_capacity(op_ids.len());
-        let mut sizing = Vec::with_capacity(op_ids.len());
-        for id in &op_ids {
-            let mut spec = problem.ops[id.0].clone();
-            if let Some(source) = binding_of.get(id) {
-                let homes =
-                    placed_homes
-                        .get(source)
-                        .ok_or_else(|| ScheduleError::MalformedTaskGraph {
-                            detail: format!(
-                            "binding source {source} for {id} was not scheduled in an earlier phase"
-                        ),
-                        })?;
-                spec.placement = Placement::Rooted(homes.clone());
-            }
-            let size_spec = match dependent_of.get(id) {
-                Some(dep) if spec.placement.is_floating() => {
-                    let dep_op = &problem.ops[dep.0];
-                    let mut combined = OperatorSpec::floating(
-                        spec.id,
-                        spec.kind,
-                        &spec.processing + &dep_op.processing,
-                        spec.data_volume + dep_op.data_volume,
-                    );
-                    combined.placement = spec.placement.clone();
-                    combined
-                }
+    let mut scratch = PackScratch::new();
+    phased_schedule(problem, sys, model, PhasePolicy::Alap, |ops| {
+        let sizing = ops
+            .iter()
+            .map(|(spec, dependent)| match dependent {
+                Some(dep) if spec.placement.is_floating() => coupled_spec(spec, dep),
                 _ => spec.clone(),
-            };
-            specs.push(spec);
-            sizing.push(size_spec);
-        }
+            })
+            .collect();
         let outcome =
             crate::malleable::malleable_schedule_in(&mut scratch, sizing, sys, comm, model)?;
-        let with_degrees: Vec<(OperatorSpec, usize)> = specs
+        let specs = ops
             .into_iter()
+            .map(|(spec, _)| spec)
             .zip(outcome.degrees.iter().copied())
             .collect();
-        let schedule = crate::list::schedule_with_degrees_in(
-            &mut scratch,
-            with_degrees,
-            sys,
-            comm,
-            crate::list::ListOrder::LongestFirst,
-        )?;
-        for (i, sop) in schedule.ops.iter().enumerate() {
-            placed_homes.insert(sop.spec.id, schedule.assignment.homes[i].clone());
-        }
-        let makespan = schedule.makespan(sys, model);
-        debug_assert!(
-            schedule.validate(sys).is_ok(),
-            "malleable phase {level} left the pack path invalid: {:?}",
-            schedule.validate(sys)
-        );
-        response_time += makespan;
-        phases.push(PhaseResult {
-            level,
-            schedule,
-            makespan,
-        });
-    }
-
-    Ok(TreeScheduleResult {
-        phases,
-        response_time,
+        schedule_with_degrees_in(&mut scratch, specs, sys, comm, ListOrder::LongestFirst)
     })
 }
 
@@ -484,6 +473,13 @@ mod tests {
             CommModel::paper_defaults(),
             OverlapModel::new(0.5).unwrap(),
         )
+    }
+
+    fn asap() -> TreeScheduleOptions {
+        TreeScheduleOptions {
+            policy: PhasePolicy::Asap,
+            ..TreeScheduleOptions::default()
+        }
     }
 
     /// A single hash join: scan(outer) + scan(inner)+build in one phase
@@ -706,16 +702,7 @@ mod tests {
     fn asap_policy_schedules_validly() {
         let (sys, comm, model) = setup();
         let problem = one_join_problem();
-        let r = tree_schedule_full(
-            &problem,
-            0.7,
-            &sys,
-            &comm,
-            &model,
-            crate::list::ListOrder::LongestFirst,
-            PhasePolicy::Asap,
-        )
-        .unwrap();
+        let r = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()).unwrap();
         for p in &r.phases {
             p.schedule.validate(&sys).unwrap();
         }
@@ -733,25 +720,14 @@ mod tests {
         let (sys, comm, model) = setup();
         let problem = one_join_problem();
         let alap = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
-        let asap = tree_schedule_full(
-            &problem,
-            0.7,
-            &sys,
-            &comm,
-            &model,
-            crate::list::ListOrder::LongestFirst,
-            PhasePolicy::Asap,
-        )
-        .unwrap();
+        let asap = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()).unwrap();
         assert!((alap.response_time - asap.response_time).abs() < 1e-9);
     }
 
-    #[test]
-    fn asap_differs_on_unbalanced_trees() {
-        // Chain T2 -> T1 -> T0 plus a leaf T3 attached directly to T0:
-        // ALAP puts T3 at depth 1 (with T1); ASAP puts it at height 0
-        // (with T2).
-        let (sys, comm, model) = setup();
+    /// Chain T2 -> T1 -> T0 plus a leaf T3 attached directly to T0, one
+    /// operator per task (op `i` in task `i`): ALAP puts T3 at depth 1
+    /// (with T1); ASAP puts it at height 0 (with T2).
+    fn unbalanced_problem(bindings: Vec<HomeBinding>) -> TreeProblem {
         let mk = |id: usize, w: f64| op(id, OperatorKind::Other, &[w, 1.0, 0.0], 50_000.0);
         let ops = vec![mk(0, 2.0), mk(1, 3.0), mk(2, 4.0), mk(3, 5.0)];
         let tasks = TaskGraph::new(vec![
@@ -773,23 +749,20 @@ mod tests {
             },
         ])
         .unwrap();
-        let problem = TreeProblem {
+        TreeProblem {
             ops,
             tasks,
-            bindings: vec![],
-        };
+            bindings,
+        }
+    }
+
+    #[test]
+    fn asap_differs_on_unbalanced_trees() {
+        let (sys, comm, model) = setup();
+        let problem = unbalanced_problem(vec![]);
         let heights = problem.tasks.heights_from_leaves();
         assert_eq!(heights, vec![2, 1, 0, 0]);
-        let asap = tree_schedule_full(
-            &problem,
-            0.7,
-            &sys,
-            &comm,
-            &model,
-            crate::list::ListOrder::LongestFirst,
-            PhasePolicy::Asap,
-        )
-        .unwrap();
+        let asap = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()).unwrap();
         // ASAP: shelf 0 holds T2 and T3 (two ops), shelf 1 holds T1,
         // shelf 2 holds T0.
         assert_eq!(asap.phases[0].schedule.ops.len(), 2);
@@ -853,5 +826,76 @@ mod tests {
         for id in 0..4 {
             assert_eq!(serial.degree_of(OperatorId(id)), Some(1));
         }
+    }
+
+    #[test]
+    fn asap_reports_an_unplaced_binding_source_as_a_typed_error() {
+        // op3 (T3, depth 1) <- op2 (T2, depth 2): the source is deeper,
+        // so the problem validates and ALAP places op2 first. ASAP puts
+        // T2 and T3 on the same shelf (height 0), so op2 has no homes
+        // yet when op3 binds — an error, never a panic.
+        let (sys, comm, model) = setup();
+        let problem = unbalanced_problem(vec![HomeBinding {
+            dependent: OperatorId(3),
+            source: OperatorId(2),
+        }]);
+        problem.validate().unwrap();
+        let alap = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
+        assert_eq!(alap.homes_of(OperatorId(3)), alap.homes_of(OperatorId(2)));
+        assert!(matches!(
+            tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()),
+            Err(ScheduleError::MalformedTaskGraph { .. })
+        ));
+        // The default options and an absent cap are the paper's
+        // algorithm, bit for bit.
+        let with = tree_schedule_with(
+            &problem,
+            0.7,
+            &sys,
+            &comm,
+            &model,
+            TreeScheduleOptions::default(),
+        )
+        .unwrap();
+        let capped = tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, None).unwrap();
+        for other in [&with, &capped] {
+            assert_eq!(alap.response_time.to_bits(), other.response_time.to_bits());
+            for id in 0..4 {
+                assert_eq!(
+                    alap.homes_of(OperatorId(id)),
+                    other.homes_of(OperatorId(id))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phased_with_operator_schedule_matches_tree_schedule() {
+        // The walker with a plain LPT packer at coupled degrees is
+        // TREESCHEDULE itself.
+        let (sys, comm, model) = setup();
+        let problem = one_join_problem();
+        let via_walker = phased_schedule(&problem, &sys, &model, PhasePolicy::Alap, |ops| {
+            let specs = ops
+                .into_iter()
+                .map(|(spec, dependent)| {
+                    let degree = match spec.placement {
+                        Placement::Rooted(ref homes) => homes.len(),
+                        Placement::Floating => {
+                            coupled_degree(&spec, dependent, 0.7, &sys, &comm, &model)
+                        }
+                    };
+                    (spec, degree)
+                })
+                .collect();
+            crate::list::schedule_with_degrees(specs, &sys, &comm, ListOrder::LongestFirst)
+        })
+        .unwrap();
+        let direct = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
+        assert_eq!(
+            via_walker.response_time.to_bits(),
+            direct.response_time.to_bits()
+        );
+        assert_eq!(via_walker.phases.len(), direct.phases.len());
     }
 }

@@ -67,8 +67,8 @@ use mrs_core::list::ListOrder;
 use mrs_core::model::OverlapModel;
 use mrs_core::resource::SystemSpec;
 use mrs_core::tree::{
-    malleable_tree_schedule, tree_schedule, tree_schedule_capped, tree_schedule_full, PhasePolicy,
-    TreeProblem,
+    malleable_tree_schedule, tree_schedule, tree_schedule_capped, tree_schedule_with, PhasePolicy,
+    TreeProblem, TreeScheduleOptions,
 };
 use mrs_cost::prelude::CostModel;
 use mrs_runtime::prelude::{
@@ -147,14 +147,16 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let sys = SystemSpec::homogeneous(sweep[sweep.len() / 2]);
         let mut violations = Vec::new();
         for problem in &problems {
-            let r = tree_schedule_full(
+            let r = tree_schedule_with(
                 problem,
                 f,
                 &sys,
                 &comm,
                 &model,
-                ListOrder::Arbitrary,
-                PhasePolicy::Alap,
+                TreeScheduleOptions {
+                    order: ListOrder::Arbitrary,
+                    ..TreeScheduleOptions::default()
+                },
             )
             .expect("paper workload always schedules");
             violations.extend(audit_tree(
@@ -179,14 +181,16 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let sys = SystemSpec::homogeneous(sweep[0]);
         let mut violations = Vec::new();
         for problem in &problems {
-            let r = tree_schedule_full(
+            let r = tree_schedule_with(
                 problem,
                 f,
                 &sys,
                 &comm,
                 &model,
-                ListOrder::LongestFirst,
-                PhasePolicy::Asap,
+                TreeScheduleOptions {
+                    policy: PhasePolicy::Asap,
+                    ..TreeScheduleOptions::default()
+                },
             )
             .expect("paper workload always schedules");
             violations.extend(audit_tree(

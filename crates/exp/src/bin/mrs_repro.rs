@@ -20,9 +20,10 @@
 //! of arrival. `--templates K` draws the stream from `K` recurring query
 //! templates instead of all-distinct plans, exercising the plan-signature
 //! schedule cache (the printed cache line shows the amortization).
-//! Counts (`--seed`, `--queries`, `--sites`, `--mpl`, `--templates`,
-//! `--batch`) must be integers; `--mtbf` and `--deadline` must be finite
-//! and non-negative (`0`, the default, turns them off). `--adaptive`
+//! Counts (`--seed`, `--joins`, `--queries`, `--sites`, `--mpl`,
+//! `--templates`, `--batch`) must be integers; `--mtbf`, `--deadline`
+//! and `schedule --f` must be finite and non-negative (`0`, the default
+//! for `--mtbf` and `--deadline`, turns them off). `--adaptive`
 //! turns on the feedback overload
 //! controller ([`ControllerConfig::adaptive`]): a backpressure gate
 //! defers admissions while the fabric is saturated and a parallelism
@@ -347,48 +348,29 @@ fn run_schedule_demo(args: &[String]) -> ExitCode {
     let mut f = 0.7f64;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut grab = |target: &mut f64| -> bool {
-            match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => {
-                    *target = v;
-                    true
-                }
-                None => false,
-            }
-        };
-        let ok = match arg.as_str() {
-            "--seed" => {
-                let mut v = seed as f64;
-                let ok = grab(&mut v);
-                seed = v as u64;
-                ok
-            }
-            "--joins" => {
-                let mut v = joins as f64;
-                let ok = grab(&mut v);
-                joins = v as usize;
-                ok
-            }
-            "--sites" => {
-                let mut v = sites as f64;
-                let ok = grab(&mut v);
-                sites = v as usize;
-                ok
-            }
-            "--eps" => grab(&mut eps),
-            "--f" => grab(&mut f),
+        let value = it.next().map_or("", String::as_str);
+        let parsed = match arg.as_str() {
+            "--seed" => parse_into(value, &mut seed),
+            "--joins" => parse_into(value, &mut joins),
+            "--sites" => parse_into(value, &mut sites),
+            "--eps" => parse_into(value, &mut eps),
+            "--f" => parse_into(value, &mut f),
             other => {
                 eprintln!("unknown schedule option {other:?}\n{}", usage());
                 return ExitCode::FAILURE;
             }
         };
-        if !ok {
-            eprintln!("{arg} needs a numeric argument\n{}", usage());
+        if !parsed {
+            eprintln!("{arg} got {value:?}, not a valid number\n{}", usage());
             return ExitCode::FAILURE;
         }
     }
     if joins == 0 || sites == 0 {
         eprintln!("--joins and --sites must be positive");
+        return ExitCode::FAILURE;
+    }
+    if !(f.is_finite() && f >= 0.0) {
+        eprintln!("--f must be finite and non-negative, got {f}\n{}", usage());
         return ExitCode::FAILURE;
     }
     let Ok(model) = OverlapModel::new(eps) else {

@@ -10,10 +10,9 @@ use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::runner::query_problem;
 use crate::tablefmt::{ratio, secs, Table};
-use mrs_core::list::ListOrder;
 use mrs_core::model::OverlapModel;
 use mrs_core::resource::SystemSpec;
-use mrs_core::tree::{tree_schedule_full, PhasePolicy};
+use mrs_core::tree::{tree_schedule_with, PhasePolicy, TreeScheduleOptions};
 use mrs_cost::prelude::CostModel;
 use mrs_workload::suite::suite;
 
@@ -39,28 +38,17 @@ pub fn shelfcheck(cfg: &ExpConfig) -> Report {
             let (mut alap, mut asap) = (0.0f64, 0.0f64);
             for q in &s.queries {
                 let problem = query_problem(q, &cost);
-                alap += tree_schedule_full(
-                    &problem,
-                    f,
-                    &sys,
-                    &comm,
-                    &model,
-                    ListOrder::LongestFirst,
-                    PhasePolicy::Alap,
-                )
-                .expect("paper workload always schedules")
-                .response_time;
-                asap += tree_schedule_full(
-                    &problem,
-                    f,
-                    &sys,
-                    &comm,
-                    &model,
-                    ListOrder::LongestFirst,
-                    PhasePolicy::Asap,
-                )
-                .expect("paper workload always schedules")
-                .response_time;
+                let response = |policy| {
+                    let opts = TreeScheduleOptions {
+                        policy,
+                        ..TreeScheduleOptions::default()
+                    };
+                    tree_schedule_with(&problem, f, &sys, &comm, &model, opts)
+                        .expect("paper workload always schedules")
+                        .response_time
+                };
+                alap += response(PhasePolicy::Alap);
+                asap += response(PhasePolicy::Asap);
             }
             let n = s.queries.len() as f64;
             table.push_row(vec![

@@ -1,51 +1,92 @@
-//! `mrs-repro serve` rejects malformed arguments with the usage message
-//! and a non-zero exit code instead of silently truncating or ignoring
-//! them.
+//! `mrs-repro serve` and `mrs-repro schedule` reject malformed arguments
+//! with the usage message and a non-zero exit code instead of silently
+//! truncating, ignoring or panicking on them.
 
 use std::process::Command;
 
-fn serve(args: &[&str]) -> std::process::Output {
+fn repro(subcommand: &str, args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_mrs-repro"))
-        .arg("serve")
+        .arg(subcommand)
         .args(args)
         .output()
         .expect("mrs-repro runs")
 }
 
+/// Asserts `subcommand` refuses every argument set in `bad` with the
+/// usage message on stderr and nothing on stdout.
+fn assert_rejected(subcommand: &str, bad: &[&[&str]]) {
+    for args in bad {
+        let out = repro(subcommand, args);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert_eq!(out.status.code(), Some(1), "{args:?} did not exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
 #[test]
 fn serve_rejects_bad_arguments() {
-    for bad in [
-        &["--queries", "2.5"][..],
-        &["--seed", "1.9"],
-        &["--sites", "-4"],
-        &["--mtbf", "-1"],
-        &["--deadline", "-0.5"],
-        &["--mtbf", "inf"],
-        &["--deadline", "NaN"],
-        &["--queries"],
-        &["--shards", "2"],
-        &["--no-batch"],
-    ] {
-        let out = serve(bad);
-        assert!(!out.status.success(), "{bad:?} was accepted");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage:"), "{bad:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{bad:?} served anyway");
-    }
+    assert_rejected(
+        "serve",
+        &[
+            &["--queries", "2.5"],
+            &["--seed", "1.9"],
+            &["--sites", "-4"],
+            &["--mtbf", "-1"],
+            &["--deadline", "-0.5"],
+            &["--mtbf", "inf"],
+            &["--deadline", "NaN"],
+            &["--queries"],
+            &["--shards", "2"],
+            &["--no-batch"],
+        ],
+    );
     // Control: the same options with well-formed values run.
-    let ok = serve(&[
-        "--queries",
-        "2",
-        "--sites",
-        "4",
-        "--seed",
-        "7",
-        "--mtbf",
-        "0",
-    ]);
+    let ok = repro(
+        "serve",
+        &[
+            "--queries",
+            "2",
+            "--sites",
+            "4",
+            "--seed",
+            "7",
+            "--mtbf",
+            "0",
+        ],
+    );
     assert!(
         ok.status.success(),
         "{}",
         String::from_utf8_lossy(&ok.stderr)
     );
+}
+
+#[test]
+fn schedule_rejects_bad_arguments() {
+    assert_rejected(
+        "schedule",
+        &[
+            &["--joins", "2.5"],
+            &["--seed", "1.9"],
+            &["--sites", "-4"],
+            &["--f", "-1"],
+            &["--f", "nan"],
+            &["--f", "inf"],
+            &["--joins"],
+            &["--shards", "2"],
+        ],
+    );
+    // Control: the same options with well-formed values run.
+    let ok = repro(
+        "schedule",
+        &["--joins", "2", "--sites", "4", "--seed", "7", "--f", "0.7"],
+    );
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    assert!(String::from_utf8_lossy(&ok.stdout).contains("TREESCHEDULE"));
 }

@@ -19,7 +19,7 @@
 //!   graph, bindings). Signature equality therefore implies the fresh
 //!   computation would be *bit-identical*, never merely similar: a lossy
 //!   signature could collide two nearby problems and serve one of them a
-//!   wrong schedule. The shadow-compute test (`verify` in
+//!   wrong schedule. The shadow-compute test (`verify_cache` in
 //!   [`RuntimeConfig`](crate::runtime::RuntimeConfig)) enforces this by
 //!   re-planning on hits and comparing [`schedule_digest`]s.
 //! * **Footprint invalidation.** `tree_schedule` plans against the full
@@ -51,8 +51,7 @@ use std::sync::Arc;
 pub struct CacheStats {
     /// Admissions served from the cache (no `tree_schedule` call).
     pub hits: u64,
-    /// Admissions that computed a fresh plan (includes every admission
-    /// when the cache is disabled) — the run's re-plan count.
+    /// Admissions that computed a fresh plan — the run's re-plan count.
     pub misses: u64,
     /// Epoch bumps: per-site environment changes (site crash or
     /// restore).
@@ -284,15 +283,6 @@ impl ScheduleCache {
         );
     }
 
-    /// Counts a plan computed while the cache is disabled, so the re-plan
-    /// metric stays meaningful either way. `tasks` is the plan's task
-    /// count, charged to [`CacheStats::tasks_planned`] so shared and
-    /// unshared runs report planning work on the same scale.
-    pub fn count_uncached_plan(&mut self, tasks: usize) {
-        self.stats.misses += 1;
-        self.stats.tasks_planned += tasks as u64;
-    }
-
     /// Number of memoized subtree fragments.
     pub fn fragments_len(&self) -> usize {
         self.subtree.len()
@@ -347,19 +337,14 @@ impl ScheduleCache {
         digest
     }
 
-    /// Folds one `tree_schedule_shared` call's counters into the run's
-    /// cache statistics.
+    /// Folds one fresh plan's planner counters into the run's cache
+    /// statistics (an unshared plan charges every task to
+    /// [`CacheStats::tasks_planned`], so the modes compare directly).
     pub fn absorb_shared(&mut self, shared: &SharedStats) {
         self.stats.subtree_hits += shared.subtree_hits;
         self.stats.subtree_misses += shared.subtree_misses;
         self.stats.fragments_spliced += shared.fragments_spliced;
         self.stats.tasks_planned += shared.tasks_planned;
-    }
-
-    /// Charges an unshared (whole-plan) computation's packing work, so
-    /// [`CacheStats::tasks_planned`] is comparable across modes.
-    pub fn count_planned_tasks(&mut self, tasks: usize) {
-        self.stats.tasks_planned += tasks as u64;
     }
 
     /// `site`'s availability changed (crash or restore): advance the
@@ -670,13 +655,15 @@ mod tests {
             fragments_spliced: 5,
             tasks_planned: 3,
         });
-        cache.count_uncached_plan(4);
+        cache.absorb_shared(&SharedStats {
+            tasks_planned: 4,
+            ..SharedStats::default()
+        });
         let stats = cache.stats();
         assert_eq!(stats.subtree_hits, 2);
         assert_eq!(stats.subtree_misses, 1);
         assert_eq!(stats.fragments_spliced, 5);
         assert_eq!(stats.tasks_planned, 7);
-        assert_eq!(stats.misses, 1);
     }
 
     #[test]

@@ -57,7 +57,8 @@ use mrs_core::error::ScheduleError;
 use mrs_core::model::ResponseModel;
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::shared::{
-    tree_schedule_shared, FragmentCache, MapFragmentCache, ScheduleFragment, SubtreeSig,
+    tree_schedule_shared, FragmentCache, MapFragmentCache, ScheduleFragment, SharedStats,
+    SubtreeSig,
 };
 use mrs_core::tree::{tree_schedule_capped, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
@@ -146,10 +147,6 @@ pub struct RuntimeConfig {
     pub deadline: Option<f64>,
     /// Recovery-loop knobs (rebuild surcharge, retry backoff, shedding).
     pub recovery: RecoveryConfig,
-    /// Memoize admission TreeSchedules by plan signature (see
-    /// [`crate::cache`]). Bit-exact: toggling this changes planning cost,
-    /// never any output. Default `true`.
-    pub schedule_cache: bool,
     /// Shadow-compute every cache hit and panic if the served schedule is
     /// not bit-identical to a fresh plan — the cache's correctness
     /// harness. Default `false` (it defeats the cache's purpose).
@@ -177,10 +174,8 @@ pub struct RuntimeConfig {
     /// `tree_schedule_shared` against a subtree-fragment memo keyed by
     /// canonical signature: subtrees already planned for another query
     /// of the window (or any earlier arrival) are spliced instead of
-    /// re-packed. Requires [`Self::schedule_cache`]; ignored (with the
-    /// unshared planner used) when the cache is disabled. Off by
-    /// default — and with it off, runs are byte-identical to the
-    /// pre-MQO runtime.
+    /// re-packed. Off by default — and with it off, runs are
+    /// byte-identical to the pre-MQO runtime.
     pub plan_sharing: bool,
 }
 
@@ -195,7 +190,6 @@ impl Default for RuntimeConfig {
             faults: FaultPlan::none(),
             deadline: None,
             recovery: RecoveryConfig::default(),
-            schedule_cache: true,
             verify_cache: false,
             util_series: false,
             controller: ControllerConfig::default(),
@@ -349,6 +343,31 @@ impl FragmentCache for TracedFragmentCache<'_> {
             digest,
         });
     }
+}
+
+/// Plans `problem` from scratch at governed `cap` — the one place the
+/// admission planner is chosen. With [`RuntimeConfig::plan_sharing`] the
+/// per-task shared planner splices and memoizes subtrees through `memo`;
+/// otherwise the joint per-level packer plans every task (and `memo` is
+/// unused). The stats are the planner's own counters either way.
+fn plan_fresh<M: ResponseModel, C: FragmentCache>(
+    cfg: &RuntimeConfig,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    problem: &TreeProblem,
+    cap: Option<usize>,
+    memo: &mut C,
+) -> Result<(TreeScheduleResult, SharedStats), ScheduleError> {
+    if cfg.plan_sharing {
+        return tree_schedule_shared(problem, cfg.f, sys, comm, model, cap, memo);
+    }
+    let plan = tree_schedule_capped(problem, cfg.f, sys, comm, model, cap)?;
+    let stats = SharedStats {
+        tasks_planned: problem.tasks.len() as u64,
+        ..SharedStats::default()
+    };
+    Ok((plan, stats))
 }
 
 impl<M: ResponseModel> Runtime<M> {
@@ -1206,9 +1225,9 @@ impl<M: ResponseModel> Runtime<M> {
     }
 
     /// Produces the admission TreeSchedule for `problem` — from the
-    /// plan-signature cache when enabled, computing (and memoizing) a
-    /// fresh plan otherwise. With `verify_cache` set, every hit is
-    /// shadow-computed and compared bit-for-bit.
+    /// plan-signature cache on a hit, otherwise planned fresh (see
+    /// [`plan_fresh`]) and memoized. With `verify_cache` set, every hit
+    /// is shadow-planned fresh and compared bit-for-bit.
     ///
     /// The controller's governed degree cap is part of the plan's
     /// identity: signatures key on the cap, so a template planned at
@@ -1220,114 +1239,71 @@ impl<M: ResponseModel> Runtime<M> {
         problem: &TreeProblem,
     ) -> Result<Arc<TreeScheduleResult>, RuntimeError> {
         let cap = self.controller.degree_cap(self.sys.sites);
-        if !self.cfg.schedule_cache {
-            self.schedule_cache.count_uncached_plan(problem.tasks.len());
-            let fresh =
-                tree_schedule_capped(problem, self.cfg.f, &self.sys, &self.comm, &self.model, cap)
-                    .map_err(|source| RuntimeError::Schedule { query: id, source })?;
-            return Ok(Arc::new(fresh));
-        }
+        let failed = |source| RuntimeError::Schedule { query: id, source };
         let sig = PlanSignature::of_capped(problem, self.cfg.f, cap);
-        match self.schedule_cache.get(&sig) {
-            Some((hit, insert_epoch, touched)) => {
-                let hit_epoch = self.schedule_cache.epoch();
-                debug_assert!(
-                    audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
-                        self.schedule_cache.site_epoch(s)
-                    }),
-                    "cache served {id} a plan from epoch {insert_epoch} at epoch {hit_epoch} \
-                     despite a footprint change"
+        if let Some((hit, insert_epoch, touched)) = self.schedule_cache.get(&sig) {
+            let hit_epoch = self.schedule_cache.epoch();
+            debug_assert!(
+                audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
+                    self.schedule_cache.site_epoch(s)
+                }),
+                "cache served {id} a plan from epoch {insert_epoch} at epoch {hit_epoch} \
+                 despite a footprint change"
+            );
+            self.audit_trace.push(AuditEvent::CacheHit {
+                time: self.clock,
+                query: id,
+                insert_epoch,
+                hit_epoch,
+                touched,
+            });
+            if self.cfg.verify_cache {
+                // A cold recompute with the strategy that produced the
+                // entry, against an empty fragment memo.
+                let (fresh, _) = plan_fresh(
+                    &self.cfg,
+                    &self.sys,
+                    &self.comm,
+                    &self.model,
+                    problem,
+                    cap,
+                    &mut MapFragmentCache::new(),
+                )
+                .map_err(failed)?;
+                assert_eq!(
+                    schedule_digest(&hit),
+                    schedule_digest(&fresh),
+                    "schedule cache served a non-identical plan for {id}"
                 );
-                self.audit_trace.push(AuditEvent::CacheHit {
-                    time: self.clock,
-                    query: id,
-                    insert_epoch,
-                    hit_epoch,
-                    touched,
-                });
-                if self.cfg.verify_cache {
-                    // The shadow replans with the same strategy that
-                    // produced the cached entry: shared-mode plans come
-                    // from the per-task shared packer, singleton plans
-                    // from the joint per-level packer. Either way the
-                    // hit must be bit-identical to a cold recompute.
-                    let fresh = if self.cfg.plan_sharing {
-                        let mut shadow = MapFragmentCache::new();
-                        tree_schedule_shared(
-                            problem,
-                            self.cfg.f,
-                            &self.sys,
-                            &self.comm,
-                            &self.model,
-                            cap,
-                            &mut shadow,
-                        )
-                        .map_err(|source| RuntimeError::Schedule { query: id, source })?
-                        .0
-                    } else {
-                        tree_schedule_capped(
-                            problem,
-                            self.cfg.f,
-                            &self.sys,
-                            &self.comm,
-                            &self.model,
-                            cap,
-                        )
-                        .map_err(|source| RuntimeError::Schedule { query: id, source })?
-                    };
-                    assert_eq!(
-                        schedule_digest(&hit),
-                        schedule_digest(&fresh),
-                        "schedule cache served a non-identical plan for {id}"
-                    );
-                }
-                Ok(hit)
             }
-            None => {
-                let fresh = if self.cfg.plan_sharing {
-                    let time = self.clock;
-                    let mut adapter = TracedFragmentCache {
-                        cache: &mut self.schedule_cache,
-                        trace: &mut self.audit_trace,
-                        time,
-                        query: id,
-                    };
-                    let (result, stats) = tree_schedule_shared(
-                        problem,
-                        self.cfg.f,
-                        &self.sys,
-                        &self.comm,
-                        &self.model,
-                        cap,
-                        &mut adapter,
-                    )
-                    .map_err(|source| RuntimeError::Schedule { query: id, source })?;
-                    self.schedule_cache.absorb_shared(&stats);
-                    Arc::new(result)
-                } else {
-                    self.schedule_cache.count_planned_tasks(problem.tasks.len());
-                    Arc::new(
-                        tree_schedule_capped(
-                            problem,
-                            self.cfg.f,
-                            &self.sys,
-                            &self.comm,
-                            &self.model,
-                            cap,
-                        )
-                        .map_err(|source| RuntimeError::Schedule { query: id, source })?,
-                    )
-                };
-                self.schedule_cache
-                    .insert(sig, Arc::clone(&fresh), schedule_footprint(&fresh));
-                self.audit_trace.push(AuditEvent::CacheInsert {
-                    time: self.clock,
-                    query: id,
-                    epoch: self.schedule_cache.epoch(),
-                });
-                Ok(fresh)
-            }
+            return Ok(hit);
         }
+        let mut memo = TracedFragmentCache {
+            cache: &mut self.schedule_cache,
+            trace: &mut self.audit_trace,
+            time: self.clock,
+            query: id,
+        };
+        let (fresh, stats) = plan_fresh(
+            &self.cfg,
+            &self.sys,
+            &self.comm,
+            &self.model,
+            problem,
+            cap,
+            &mut memo,
+        )
+        .map_err(failed)?;
+        self.schedule_cache.absorb_shared(&stats);
+        let fresh = Arc::new(fresh);
+        self.schedule_cache
+            .insert(sig, Arc::clone(&fresh), schedule_footprint(&fresh));
+        self.audit_trace.push(AuditEvent::CacheInsert {
+            time: self.clock,
+            query: id,
+            epoch: self.schedule_cache.epoch(),
+        });
+        Ok(fresh)
     }
 
     fn summary(&self) -> RunSummary {
@@ -2041,49 +2017,26 @@ mod tests {
     #[test]
     fn cache_hits_are_bit_identical_to_fresh_plans() {
         // verify_cache shadow-computes every hit and panics on any
-        // digest mismatch, so a clean run *is* the assertion.
-        let cfg = RuntimeConfig {
-            verify_cache: true,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = runtime_with(cfg);
-        for q in 0..5 {
-            rt.submit_at(q as f64 * 3.0, 0, one_op_problem(8.0));
-        }
-        let summary = rt.run_to_completion().unwrap();
-        assert_eq!(summary.completed(), 5);
-        assert!(summary.cache.hits >= 1, "shadow check needs hits to check");
-    }
-
-    #[test]
-    fn caching_never_changes_the_trajectory() {
-        let run = |cache: bool| {
+        // digest mismatch, so a clean run *is* the assertion. The stream
+        // runs clean and under seeded crashes (MTBF 20 s per site), where
+        // epoch bumps stale some entries between hits.
+        for faults in [FaultPlan::none(), FaultPlan::seeded(4, 400.0, 20.0, 5.0, 7)] {
             let cfg = RuntimeConfig {
-                schedule_cache: cache,
-                faults: FaultPlan::seeded(4, 400.0, 20.0, 5.0, 7),
+                verify_cache: true,
+                faults,
                 ..RuntimeConfig::default()
             };
             let mut rt = runtime_with(cfg);
-            for q in 0..10 {
-                rt.submit_at(q as f64 * 4.0, q % 3, one_op_problem(6.0 + (q % 4) as f64));
+            for q in 0..5 {
+                rt.submit_at(q as f64 * 3.0, 0, one_op_problem(8.0));
             }
-            rt.run_to_completion().unwrap()
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.horizon.to_bits(), off.horizon.to_bits());
-        for (a, b) in on.queries.iter().zip(&off.queries) {
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(
-                a.finish.map(f64::to_bits),
-                b.finish.map(f64::to_bits),
-                "{} finish drifted with caching",
-                a.id
-            );
+            let summary = rt.run_to_completion().unwrap();
+            assert_eq!(summary.completed(), 5);
+            assert!(summary.cache.hits > 0, "shadow check needs hits to check");
+            assert_eq!(summary.plans_computed(), summary.cache.misses);
+            let admitted = summary.queries.iter().filter(|q| q.start.is_some()).count();
+            assert_eq!(summary.cache.hits + summary.cache.misses, admitted as u64);
         }
-        // Only the planning counters differ.
-        assert_eq!(off.cache.hits, 0);
-        assert_eq!(off.plans_computed(), on.cache.hits + on.cache.misses);
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn aggregated_and_sorted_plans_simulate_correctly() {
 
 #[test]
 fn shelf_policies_agree_on_shape_constraints() {
-    use mrs_core::tree::{tree_schedule_full, PhasePolicy};
+    use mrs_core::tree::{tree_schedule_with, PhasePolicy, TreeScheduleOptions};
     let (sys, _, model, cost) = scheduling_env(24);
     let comm = cost.params().comm_model();
     for seed in 0..4u64 {
@@ -91,14 +91,16 @@ fn shelf_policies_agree_on_shape_constraints() {
         )
         .unwrap();
         for policy in [PhasePolicy::Alap, PhasePolicy::Asap] {
-            let r = tree_schedule_full(
+            let r = tree_schedule_with(
                 &problem,
                 0.7,
                 &sys,
                 &comm,
                 &model,
-                ListOrder::LongestFirst,
-                policy,
+                TreeScheduleOptions {
+                    policy,
+                    ..TreeScheduleOptions::default()
+                },
             )
             .unwrap();
             // Same shelf count either way; all bindings honoured.
