@@ -8,6 +8,7 @@
 
 use crate::violation::Violation;
 use mrs_runtime::control::ControllerConfig;
+use mrs_runtime::job::{QueryOutcome, ShedReason};
 use mrs_runtime::metrics::RunSummary;
 use mrs_runtime::trace::{
     audit_cache_hit_coherent, audit_control_transition, audit_repack_conserves, AuditEvent,
@@ -24,9 +25,10 @@ const BUSY_REL_TOL: f64 = 1e-6;
 /// by design, and the per-step normalization divides two rounded floats.
 const UTIL_TOL: f64 = 1e-9;
 
-/// Audits one finished run: terminal outcomes, busy-time sanity, fluid
-/// feasibility, trace ordering, per-query phase monotonicity, recovery
-/// conservation, and cache-epoch coherence.
+/// Audits one finished run: terminal outcomes and their agreement with
+/// the `Aborted`/`Shed` events, busy-time sanity, fluid feasibility,
+/// trace ordering, per-query phase monotonicity, recovery conservation,
+/// and cache-epoch coherence.
 pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     let mut out = Vec::new();
 
@@ -114,7 +116,7 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
 
     // Trace-level checks: time monotonicity, per-query phase order,
     // epoch progression, conservation, cache coherence. The cache check
-    // replays the environment from the EpochBump stream itself — the
+    // replays the environment from the SiteDown/SiteUp events — the
     // current global epoch and each site's last-change epoch — so a
     // CacheHit's claimed epochs and footprint are validated against
     // recorded history, not taken at face value.
@@ -133,6 +135,8 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     // imply identical sub-schedules) and pass the same epoch/footprint
     // coherence test as a whole-plan hit.
     let mut fragment_digest: HashMap<u64, u64> = HashMap::new();
+    // Terminal events per query: `None` for Aborted, the reason for Shed.
+    let mut terminal: HashMap<usize, Vec<Option<ShedReason>>> = HashMap::new();
     for (index, ev) in summary.trace.iter().enumerate() {
         let t = ev.time();
         if t < last_time {
@@ -192,7 +196,7 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
                     });
                 }
             }
-            AuditEvent::EpochBump { epoch, site, .. } => {
+            AuditEvent::SiteDown { site, epoch, .. } | AuditEvent::SiteUp { site, epoch, .. } => {
                 if let Some(prev) = last_epoch {
                     if *epoch <= prev {
                         out.push(Violation::EpochRegression { prev, next: *epoch });
@@ -266,7 +270,30 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
                     }),
                 }
             }
-            AuditEvent::CacheInsert { .. } => {}
+            AuditEvent::Aborted { query, .. } => terminal.entry(query.0).or_default().push(None),
+            AuditEvent::Shed { query, reason, .. } => {
+                terminal.entry(query.0).or_default().push(Some(*reason));
+            }
+            AuditEvent::CacheInsert { .. }
+            | AuditEvent::CloneLost { .. }
+            | AuditEvent::RetryScheduled { .. } => {}
+        }
+    }
+
+    // A query ends Aborted iff exactly one Aborted event names it, and
+    // Shed iff exactly one Shed event names it with the same reason.
+    for q in &summary.queries {
+        let expected = match &q.outcome {
+            Some(QueryOutcome::Aborted { .. }) => Some(None),
+            Some(QueryOutcome::Shed { reason }) => Some(Some(*reason)),
+            _ => None,
+        };
+        let events = terminal.remove(&q.id.0).unwrap_or_default();
+        if events.as_slice() != expected.as_slice() {
+            out.push(Violation::OutcomeEventMismatch {
+                query: q.id,
+                events: events.len(),
+            });
         }
     }
 
@@ -339,7 +366,6 @@ mod tests {
             queries: vec![],
             site_busy: vec![vec![1.0, 2.0, 0.0]],
             depth_trace: vec![],
-            faults: vec![],
             cache: Default::default(),
             trace: vec![
                 AuditEvent::PhaseDispatched {
@@ -431,7 +457,6 @@ mod tests {
             queries: vec![],
             site_busy: vec![],
             depth_trace: vec![],
-            faults: vec![],
             cache: Default::default(),
             trace,
             site_peak_util: vec![],
@@ -478,10 +503,11 @@ mod tests {
         // splice makes the splice stale.
         let s = summary_with_trace(vec![
             insert,
-            AuditEvent::EpochBump {
+            AuditEvent::SiteDown {
                 time: 1.5,
-                epoch: 1,
                 site: 2,
+                epoch: 1,
+                clones_lost: 0,
             },
             AuditEvent::FragmentSpliced {
                 time: 2.0,

@@ -188,7 +188,7 @@ pub enum Violation {
         next: usize,
     },
     /// The cache epoch moved backwards (or stalled) across two
-    /// `EpochBump` events.
+    /// consecutive `SiteDown`/`SiteUp` events.
     EpochRegression {
         /// The previously recorded epoch.
         prev: u64,
@@ -199,6 +199,16 @@ pub enum Violation {
     OutcomeMissing {
         /// The unterminated query.
         query: QueryId,
+    },
+    /// A query's terminal outcome disagrees with the `Aborted`/`Shed`
+    /// events naming it: an `Aborted` outcome needs exactly one `Aborted`
+    /// event, a `Shed` outcome exactly one `Shed` event with the same
+    /// reason, and any other outcome none.
+    OutcomeEventMismatch {
+        /// The query whose outcome and events disagree.
+        query: QueryId,
+        /// How many `Aborted`/`Shed` events name it.
+        events: usize,
     },
     /// The audit trace's timestamps are not monotone non-decreasing.
     TraceDisordered {
@@ -334,6 +344,7 @@ impl Violation {
             Violation::PhaseRegression { .. } => "phase-regression",
             Violation::EpochRegression { .. } => "epoch-regression",
             Violation::OutcomeMissing { .. } => "outcome-missing",
+            Violation::OutcomeEventMismatch { .. } => "outcome-event",
             Violation::TraceDisordered { .. } => "trace-disordered",
             Violation::AvgUtilizationInfeasible { .. } => "avg-utilization",
             Violation::UtilSeriesMismatch { .. } => "util-series",
@@ -443,6 +454,11 @@ impl fmt::Display for Violation {
             Violation::OutcomeMissing { query } => {
                 write!(fm, "{query} has no terminal outcome")
             }
+            Violation::OutcomeEventMismatch { query, events } => write!(
+                fm,
+                "{query}'s terminal outcome disagrees with the {events} Aborted/Shed events \
+                 naming it"
+            ),
             Violation::TraceDisordered {
                 index,
                 prev_time,

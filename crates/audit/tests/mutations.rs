@@ -13,7 +13,9 @@ use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
 use mrs_core::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
 use mrs_core::tree::{tree_schedule, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
-use mrs_runtime::prelude::{AdmissionPolicy, AuditEvent, RecoveryConfig, Runtime, RuntimeConfig};
+use mrs_runtime::prelude::{
+    AdmissionPolicy, AuditEvent, QueryOutcome, RecoveryConfig, Runtime, RuntimeConfig,
+};
 use mrs_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 
 fn op(id: usize, w: &[f64], data: f64) -> OperatorSpec {
@@ -368,6 +370,46 @@ fn recovery_and_cache_trace_mutations_are_caught() {
     }
     let v = audit_run(&tampered);
     assert!(kinds(&v).contains(&"conservation"), "{v:?}");
+
+    // Rewind the second crash's epoch below the first's.
+    let mut tampered = summary.clone();
+    let mut downs = tampered.trace.iter_mut().filter_map(|e| match e {
+        AuditEvent::SiteDown { epoch, .. } => Some(epoch),
+        _ => None,
+    });
+    let first = *downs.next().expect("fixture crashes two sites");
+    *downs.next().expect("fixture crashes two sites") = first - 1;
+    let v = audit_run(&tampered);
+    assert!(kinds(&v).contains(&"epoch-regression"), "{v:?}");
+
+    // Re-stamp a lost clone earlier than the event before it.
+    let mut tampered = summary.clone();
+    let i = tampered
+        .trace
+        .iter()
+        .position(|e| matches!(e, AuditEvent::CloneLost { .. }))
+        .expect("a crash loses clones");
+    let earlier = tampered.trace[i - 1].time() - 1.0;
+    if let AuditEvent::CloneLost { time, .. } = &mut tampered.trace[i] {
+        *time = earlier;
+    }
+    let v = audit_run(&tampered);
+    assert!(kinds(&v).contains(&"trace-disordered"), "{v:?}");
+
+    // A spurious abort event for a query that completed.
+    let mut tampered = summary.clone();
+    let done = tampered
+        .queries
+        .iter()
+        .find(|q| q.outcome == Some(QueryOutcome::Completed))
+        .expect("a fixture query completes")
+        .id;
+    tampered.trace.push(AuditEvent::Aborted {
+        time: tampered.horizon,
+        query: done,
+    });
+    let v = audit_run(&tampered);
+    assert_eq!(kinds(&v), ["outcome-event"], "{v:?}");
 
     // Serve the cached plan across a crash epoch.
     for ev in &mut summary.trace {

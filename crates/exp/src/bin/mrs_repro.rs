@@ -192,7 +192,17 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         .sum::<f64>()
         / queries as f64;
     let rate = load * mpl as f64 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, queries, seed ^ 0xA11C_E5ED);
+    // An extreme --load overflows the rate, or the arrival times, to inf.
+    let arrivals = (rate.is_finite() && rate > 0.0)
+        .then(|| poisson_arrivals(rate, queries, seed ^ 0xA11C_E5ED))
+        .filter(|a| a.iter().all(|t| t.is_finite()));
+    let Some(arrivals) = arrivals else {
+        eprintln!(
+            "--load {load:e} gives arrival rate {rate:e}, so the arrival times are not finite\n{}",
+            usage()
+        );
+        return ExitCode::FAILURE;
+    };
 
     // Let the failure schedule outlast even a heavily stretched run.
     let plan_horizon = arrivals.last().copied().unwrap_or(0.0) + 50.0 * mean_standalone;

@@ -37,6 +37,8 @@ fn serve_rejects_bad_arguments() {
             &["--deadline", "-0.5"],
             &["--mtbf", "inf"],
             &["--deadline", "NaN"],
+            &["--load", "1e308"],
+            &["--load", "1e-320"],
             &["--queries"],
             &["--shards", "2"],
             &["--no-batch"],

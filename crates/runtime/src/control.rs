@@ -169,10 +169,7 @@ impl PressureSample {
     }
 }
 
-/// What a controller decision did. Recorded on the audit trace; the
-/// discriminant is part of the [`RunSummary::digest`] encoding.
-///
-/// [`RunSummary::digest`]: crate::metrics::RunSummary::digest
+/// What a controller decision did. Recorded on the audit trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlAction {
     /// Governor level went up one step (degree cap tightened).
@@ -186,7 +183,7 @@ pub enum ControlAction {
 }
 
 impl ControlAction {
-    /// Stable digest discriminant.
+    /// Stable index in `0..4`, in declaration order.
     pub fn discriminant(&self) -> u8 {
         match self {
             ControlAction::RaiseLevel => 0,

@@ -24,7 +24,8 @@ pub fn work_volume(problem: &TreeProblem) -> f64 {
 
 /// Which admission gate refused a shed query. A shed event is no longer
 /// indistinguishable from its cause: the reason travels on the outcome,
-/// the fault trace, and the typed [`RuntimeError::Shed`] error.
+/// the `Shed` event of the run's event stream, and the typed
+/// [`RuntimeError::Shed`] error.
 ///
 /// [`RuntimeError::Shed`]: crate::runtime::RuntimeError
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,17 +57,6 @@ impl ShedReason {
             ShedReason::AliveCount => "alive-count",
             ShedReason::MeanLoad => "mean-load",
             ShedReason::ControllerLastResort => "controller-last-resort",
-        }
-    }
-
-    /// Stable digest discriminant (see [`RunSummary::digest`]).
-    ///
-    /// [`RunSummary::digest`]: crate::metrics::RunSummary::digest
-    pub fn discriminant(&self) -> u8 {
-        match self {
-            ShedReason::AliveCount => 0,
-            ShedReason::MeanLoad => 1,
-            ShedReason::ControllerLastResort => 2,
         }
     }
 }

@@ -12,7 +12,8 @@
 //! | [`cache`] | the plan-signature schedule cache (template memoization, epoch invalidation) |
 //! | [`recovery`] | failure-aware rescheduling: re-packing lost work onto survivors |
 //! | [`control`] | adaptive overload control: the parallelism governor and backpressure admission gate |
-//! | [`metrics`] | per-query latency and quantiles, per-site utilization, throughput, fault trace, cache stats |
+//! | [`trace`] | the run's one event stream (dispatch, cache, controller, fault and recovery events) and its audit predicates |
+//! | [`metrics`] | per-query latency and quantiles, per-site utilization, throughput, fault counters over the event stream, cache stats, digest |
 //!
 //! Each admitted query is scheduled with the paper's TreeSchedule and its
 //! synchronized phases are dispatched *incrementally* onto shared fluid
@@ -69,7 +70,7 @@ pub mod prelude {
     };
     pub use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
     pub use crate::ledger::SiteLedger;
-    pub use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
+    pub use crate::metrics::RunSummary;
     pub use crate::recovery::RecoveryConfig;
     pub use crate::runtime::{Runtime, RuntimeConfig, RuntimeError};
     pub use crate::trace::{

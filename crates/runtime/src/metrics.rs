@@ -1,77 +1,15 @@
 //! Aggregated metrics of one runtime run: per-query latency statistics,
 //! per-site realized utilization (from the simulator's busy-time
 //! integrals, not the ledger's committed view), queue-depth trace,
-//! throughput, and — under fault injection — the structured fault trace
-//! (site crashes, lost clones, re-packs, retries, aborts, sheds).
+//! throughput, the fault counters (counts over the run's event stream,
+//! see [`crate::trace`]), and the run digest.
 
 use crate::cache::CacheStats;
-use crate::job::{QueryId, QueryOutcome, QueryRecord, ShedReason};
+use crate::job::{QueryOutcome, QueryRecord, ShedReason};
 use crate::runtime::RuntimeError;
 use crate::trace::AuditEvent;
 use mrs_sim::engine::UtilSample;
-
-/// One entry of the run's fault/recovery event trace. Records derive
-/// `PartialEq` so determinism tests can compare whole traces.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultRecord {
-    /// Virtual time of the event.
-    pub time: f64,
-    /// What happened.
-    pub kind: FaultRecordKind,
-}
-
-/// The kinds of fault/recovery events a run can log.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultRecordKind {
-    /// A site crashed, evicting `clones_lost` resident clones.
-    SiteDown {
-        /// The crashed site index.
-        site: usize,
-        /// Clones evicted by the crash.
-        clones_lost: usize,
-    },
-    /// A crashed site came back, empty.
-    SiteUp {
-        /// The recovered site index.
-        site: usize,
-    },
-    /// One clone of `query` was lost to a crash (or displaced from a
-    /// dead site at dispatch).
-    CloneLost {
-        /// The owning query.
-        query: QueryId,
-    },
-    /// Lost work of `query` was re-packed onto `clones` new clones on
-    /// the surviving sites.
-    Repacked {
-        /// The recovered query.
-        query: QueryId,
-        /// Number of replacement clones dispatched.
-        clones: usize,
-    },
-    /// Recovery could not place `query`'s lost work; a retry is
-    /// scheduled.
-    RetryScheduled {
-        /// The waiting query.
-        query: QueryId,
-        /// Which retry attempt this will be (1-based).
-        attempt: u32,
-        /// Virtual time the retry fires.
-        at: f64,
-    },
-    /// `query` was aborted (deadline or retries exhausted).
-    Aborted {
-        /// The aborted query.
-        query: QueryId,
-    },
-    /// `query` was shed at arrival.
-    Shed {
-        /// The shed query.
-        query: QueryId,
-        /// Which admission gate fired.
-        reason: ShedReason,
-    },
-}
+use std::fmt::{self, Write as _};
 
 /// Everything measured over one [`Runtime`](crate::runtime::Runtime) run.
 #[derive(Clone, Debug)]
@@ -87,14 +25,13 @@ pub struct RunSummary {
     pub site_busy: Vec<Vec<f64>>,
     /// `(time, queue depth)` after each event.
     pub depth_trace: Vec<(f64, usize)>,
-    /// Time-ordered fault/recovery trace (empty for a fault-free run).
-    pub faults: Vec<FaultRecord>,
     /// Schedule-cache counters: admission hits, fresh plans computed
     /// (re-plan count), and epoch bumps. All-zero with no admissions.
     pub cache: CacheStats,
-    /// Structured audit trace (see [`crate::trace`]): phase dispatches,
-    /// re-pack conservation quantities, cache epochs. Checked end-to-end
-    /// by `mrs-audit`'s `audit_run`.
+    /// The run's time-ordered event stream (see [`crate::trace`]): phase
+    /// dispatches, cache inserts and hits, controller decisions, and
+    /// every fault and recovery step. Checked end-to-end by
+    /// `mrs-audit`'s `audit_run`.
     pub trace: Vec<AuditEvent>,
     /// `site_peak_util[j][i]` = peak normalized utilization of resource
     /// `i` at site `j` over the run (realized demand over effective
@@ -121,7 +58,6 @@ impl RunSummary {
         queries: Vec<QueryRecord>,
         site_busy: Vec<Vec<f64>>,
         depth_trace: Vec<(f64, usize)>,
-        faults: Vec<FaultRecord>,
     ) -> Self {
         RunSummary {
             policy,
@@ -129,7 +65,6 @@ impl RunSummary {
             queries,
             site_busy,
             depth_trace,
-            faults,
             cache: CacheStats::default(),
             trace: Vec::new(),
             site_peak_util: Vec::new(),
@@ -219,25 +154,25 @@ impl RunSummary {
 
     /// Number of site-crash events observed.
     pub fn sites_failed(&self) -> usize {
-        self.faults
+        self.trace
             .iter()
-            .filter(|f| matches!(f.kind, FaultRecordKind::SiteDown { .. }))
+            .filter(|e| matches!(e, AuditEvent::SiteDown { .. }))
             .count()
     }
 
     /// Total clones lost to crashes and dead-site displacement.
     pub fn clones_lost(&self) -> usize {
-        self.faults
+        self.trace
             .iter()
-            .filter(|f| matches!(f.kind, FaultRecordKind::CloneLost { .. }))
+            .filter(|e| matches!(e, AuditEvent::CloneLost { .. }))
             .count()
     }
 
     /// Number of successful lost-work re-packs.
     pub fn repacks(&self) -> usize {
-        self.faults
+        self.trace
             .iter()
-            .filter(|f| matches!(f.kind, FaultRecordKind::Repacked { .. }))
+            .filter(|e| matches!(e, AuditEvent::Repacked { .. }))
             .count()
     }
 
@@ -313,266 +248,29 @@ impl RunSummary {
         self.depth_trace.iter().map(|(_, d)| *d).max().unwrap_or(0)
     }
 
-    /// FNV-1a digest over *every* field of the summary (floats by their
-    /// exact bit patterns). Two summaries digest equal iff the runs were
-    /// byte-identical — this is what the determinism tests compare
-    /// across repeated runs.
+    /// FNV-1a digest of the summary's derived `Debug` rendering, which
+    /// covers every field by construction. `f64`'s `Debug` prints the
+    /// shortest decimal that round-trips (signed zero included), so two
+    /// summaries without NaNs render equal iff every field is
+    /// bit-identical; NaN payloads are not told apart. This is what the
+    /// determinism tests compare across repeated runs.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.str(self.policy);
-        h.f64(self.horizon);
-        h.usize(self.queries.len());
-        for q in &self.queries {
-            h.usize(q.id.0);
-            h.usize(q.client);
-            h.f64(q.volume);
-            h.f64(q.arrival);
-            h.opt_f64(q.start);
-            h.opt_f64(q.finish);
-            h.usize(q.phases);
-            h.f64(q.standalone_response);
-            match &q.outcome {
-                None => h.u8(0),
-                Some(QueryOutcome::Completed) => h.u8(1),
-                Some(QueryOutcome::Aborted { reason }) => {
-                    h.u8(2);
-                    h.str(reason);
-                }
-                Some(QueryOutcome::Shed { reason }) => {
-                    h.u8(3);
-                    h.u8(reason.discriminant());
-                }
-            }
-        }
-        h.mat(&self.site_busy);
-        h.usize(self.depth_trace.len());
-        for (t, d) in &self.depth_trace {
-            h.f64(*t);
-            h.usize(*d);
-        }
-        h.usize(self.faults.len());
-        for f in &self.faults {
-            h.f64(f.time);
-            match &f.kind {
-                FaultRecordKind::SiteDown { site, clones_lost } => {
-                    h.u8(0);
-                    h.usize(*site);
-                    h.usize(*clones_lost);
-                }
-                FaultRecordKind::SiteUp { site } => {
-                    h.u8(1);
-                    h.usize(*site);
-                }
-                FaultRecordKind::CloneLost { query } => {
-                    h.u8(2);
-                    h.usize(query.0);
-                }
-                FaultRecordKind::Repacked { query, clones } => {
-                    h.u8(3);
-                    h.usize(query.0);
-                    h.usize(*clones);
-                }
-                FaultRecordKind::RetryScheduled { query, attempt, at } => {
-                    h.u8(4);
-                    h.usize(query.0);
-                    h.u64(u64::from(*attempt));
-                    h.f64(*at);
-                }
-                FaultRecordKind::Aborted { query } => {
-                    h.u8(5);
-                    h.usize(query.0);
-                }
-                FaultRecordKind::Shed { query, reason } => {
-                    h.u8(6);
-                    h.usize(query.0);
-                    h.u8(reason.discriminant());
-                }
-            }
-        }
-        h.u64(self.cache.hits);
-        h.u64(self.cache.misses);
-        h.u64(self.cache.epoch_bumps);
-        h.usize(self.trace.len());
-        for ev in &self.trace {
-            match ev {
-                AuditEvent::PhaseDispatched { time, query, phase } => {
-                    h.u8(0);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.usize(*phase);
-                }
-                AuditEvent::Repacked {
-                    time,
-                    query,
-                    lost_total,
-                    expected_total,
-                    placed_total,
-                } => {
-                    h.u8(1);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.f64(*lost_total);
-                    h.f64(*expected_total);
-                    h.f64(*placed_total);
-                }
-                AuditEvent::CacheInsert { time, query, epoch } => {
-                    h.u8(2);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*epoch);
-                }
-                AuditEvent::CacheHit {
-                    time,
-                    query,
-                    insert_epoch,
-                    hit_epoch,
-                    touched,
-                } => {
-                    h.u8(3);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*insert_epoch);
-                    h.u64(*hit_epoch);
-                    h.usize(touched.len());
-                    for &s in touched {
-                        h.usize(s);
-                    }
-                }
-                AuditEvent::EpochBump { time, epoch, site } => {
-                    h.u8(4);
-                    h.f64(*time);
-                    h.u64(*epoch);
-                    h.usize(*site);
-                }
-                AuditEvent::FragmentInsert {
-                    time,
-                    query,
-                    epoch,
-                    sig_hash,
-                    digest,
-                } => {
-                    h.u8(6);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*epoch);
-                    h.u64(*sig_hash);
-                    h.u64(*digest);
-                }
-                AuditEvent::FragmentSpliced {
-                    time,
-                    query,
-                    insert_epoch,
-                    hit_epoch,
-                    touched,
-                    sig_hash,
-                    digest,
-                } => {
-                    h.u8(7);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*insert_epoch);
-                    h.u64(*hit_epoch);
-                    h.usize(touched.len());
-                    for &s in touched {
-                        h.usize(s);
-                    }
-                    h.u64(*sig_hash);
-                    h.u64(*digest);
-                }
-                AuditEvent::ControlDecision {
-                    time,
-                    action,
-                    level,
-                    gate,
-                    sample,
-                } => {
-                    h.u8(5);
-                    h.f64(*time);
-                    h.u8(action.discriminant());
-                    h.u64(u64::from(*level));
-                    h.u8(u8::from(*gate));
-                    h.f64(sample.time);
-                    h.usize(sample.queue_depth);
-                    h.usize(sample.retries);
-                    h.usize(sample.alive);
-                    h.f64(sample.avg_load);
-                }
-            }
-        }
-        h.mat(&self.site_peak_util);
-        h.mat(&self.site_util_integral);
-        h.usize(self.site_util_series.len());
-        for series in &self.site_util_series {
-            h.usize(series.len());
-            for s in series {
-                h.f64(s.start);
-                h.f64(s.len);
-                for u in &s.util {
-                    h.f64(*u);
-                }
-            }
-        }
-        h.finish()
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(h, "{self:?}").expect("hashing into Fnv never fails");
+        h.0
     }
 }
 
-/// Minimal FNV-1a accumulator for [`RunSummary::digest`]. Not a general
-/// hasher: field framing (length prefixes, enum discriminants) is the
-/// caller's job.
+/// FNV-1a accumulator that hashes formatted text as it is written, so
+/// [`RunSummary::digest`] allocates no `String`.
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.u8(b);
-        }
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
         for b in s.bytes() {
-            self.u8(b);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
-    }
-
-    fn mat(&mut self, m: &[Vec<f64>]) {
-        self.usize(m.len());
-        for row in m {
-            self.usize(row.len());
-            for v in row {
-                self.f64(*v);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+        Ok(())
     }
 }
 
@@ -621,7 +319,6 @@ mod tests {
             vec![record(0.0, 0.0, 4.0), record(0.0, 2.0, 10.0)],
             vec![vec![5.0, 2.5, 0.0], vec![10.0, 0.0, 0.0]],
             vec![(0.0, 2), (4.0, 0)],
-            Vec::new(),
         )
     }
 
@@ -644,7 +341,7 @@ mod tests {
 
     #[test]
     fn empty_summary_is_all_zero() {
-        let s = RunSummary::new("fcfs", 0.0, vec![], vec![], vec![], vec![]);
+        let s = RunSummary::new("fcfs", 0.0, vec![], vec![], vec![]);
         assert_eq!(s.completed(), 0);
         assert_eq!(s.throughput(), 0.0);
         assert_eq!(s.mean_latency(), 0.0);
@@ -680,37 +377,38 @@ mod tests {
         shed.outcome = Some(QueryOutcome::Shed {
             reason: ShedReason::AliveCount,
         });
-        let s = RunSummary::new(
+        let mut s = RunSummary::new(
             "fcfs",
             5.0,
             vec![record(0.0, 0.0, 2.0), aborted, shed],
             vec![],
             vec![],
-            vec![
-                FaultRecord {
-                    time: 1.0,
-                    kind: FaultRecordKind::SiteDown {
-                        site: 0,
-                        clones_lost: 2,
-                    },
-                },
-                FaultRecord {
-                    time: 1.0,
-                    kind: FaultRecordKind::CloneLost { query: QueryId(1) },
-                },
-                FaultRecord {
-                    time: 1.5,
-                    kind: FaultRecordKind::Repacked {
-                        query: QueryId(1),
-                        clones: 3,
-                    },
-                },
-                FaultRecord {
-                    time: 2.0,
-                    kind: FaultRecordKind::SiteUp { site: 0 },
-                },
-            ],
         );
+        s.trace = vec![
+            AuditEvent::SiteDown {
+                time: 1.0,
+                site: 0,
+                epoch: 1,
+                clones_lost: 2,
+            },
+            AuditEvent::CloneLost {
+                time: 1.0,
+                query: QueryId(1),
+            },
+            AuditEvent::Repacked {
+                time: 1.5,
+                query: QueryId(1),
+                clones: 3,
+                lost_total: 1.0,
+                expected_total: 1.2,
+                placed_total: 1.2,
+            },
+            AuditEvent::SiteUp {
+                time: 2.0,
+                site: 0,
+                epoch: 2,
+            },
+        ];
         assert_eq!(s.completed(), 1);
         assert_eq!(s.aborted(), 1);
         assert_eq!(s.shed(), 1);
@@ -760,6 +458,17 @@ mod tests {
             reason: ShedReason::MeanLoad,
         });
         assert_ne!(outcome.digest(), other_reason.digest());
+        // Every `CacheStats` counter is part of the digest.
+        let mut planned = summary();
+        planned.cache.tasks_planned = 1;
+        assert_ne!(a.digest(), planned.digest());
+        let mut subtree = summary();
+        subtree.cache.subtree_hits = 1;
+        assert_ne!(a.digest(), subtree.digest());
+        // Signed zero is a distinct bit pattern, so a distinct digest.
+        let mut neg_zero = summary();
+        neg_zero.site_busy[0][2] = -0.0;
+        assert_ne!(a.digest(), neg_zero.digest());
     }
 
     #[test]
@@ -803,7 +512,7 @@ mod tests {
             })
             .collect();
         let depth_trace = vec![(0.0, 3), (1.0, 7), (2.0, 5), (3.0, 0)];
-        let s = RunSummary::new("fcfs", 20.0, queries, vec![], depth_trace, vec![]);
+        let s = RunSummary::new("fcfs", 20.0, queries, vec![], depth_trace);
         assert_eq!(s.p50_latency(), 10.0);
         assert_eq!(s.p95_latency(), 19.0);
         assert_eq!(s.p99_latency(), 20.0);

@@ -47,7 +47,7 @@ use crate::admission::AdmissionQueue;
 use crate::cache::{schedule_digest, schedule_footprint, PlanSignature, ScheduleCache};
 use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
-use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
+use crate::metrics::RunSummary;
 use crate::recovery::{backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig};
 use crate::trace::{
     audit_cache_hit_coherent, audit_placements_valid, audit_repack_conserves, AuditEvent,
@@ -262,7 +262,6 @@ pub struct Runtime<M: ResponseModel> {
     /// upper-bound binary search), so the hot loop reads the next retry
     /// time from the front instead of folding over all of them.
     retries: Vec<RetryEvent>,
-    fault_trace: Vec<FaultRecord>,
     /// Plan-signature memo table for admission TreeSchedules.
     schedule_cache: ScheduleCache,
     /// Scratch for epsilon-completions swept while catching a lazily
@@ -414,7 +413,6 @@ impl<M: ResponseModel> Runtime<M> {
             depth_trace: Vec::new(),
             faults,
             retries: Vec::new(),
-            fault_trace: Vec::new(),
             schedule_cache,
             touch_buf: Vec::new(),
             arrivals_next: 0,
@@ -618,9 +616,10 @@ impl<M: ResponseModel> Runtime<M> {
                 };
                 if let Some(reason) = shed_reason {
                     self.records[id.0].outcome = Some(QueryOutcome::Shed { reason });
-                    self.fault_trace.push(FaultRecord {
+                    self.audit_trace.push(AuditEvent::Shed {
                         time: t,
-                        kind: FaultRecordKind::Shed { query: id, reason },
+                        query: id,
+                        reason,
                     });
                     continue;
                 }
@@ -730,17 +729,11 @@ impl<M: ResponseModel> Runtime<M> {
                 // and releases the site from the ledger.
                 let lost = self.fabric.fail_site(site);
                 self.schedule_cache.bump_epoch(site);
-                self.audit_trace.push(AuditEvent::EpochBump {
+                self.audit_trace.push(AuditEvent::SiteDown {
                     time: self.clock,
-                    epoch: self.schedule_cache.epoch(),
                     site,
-                });
-                self.fault_trace.push(FaultRecord {
-                    time: self.clock,
-                    kind: FaultRecordKind::SiteDown {
-                        site,
-                        clones_lost: lost.len(),
-                    },
+                    epoch: self.schedule_cache.epoch(),
+                    clones_lost: lost.len(),
                 });
                 // Scale each lost clone's work vector by its unfinished
                 // fraction and group by owning query (residency order →
@@ -753,9 +746,9 @@ impl<M: ResponseModel> Runtime<M> {
                         .expect("lost clone was not tracked");
                     let frac = lc.remaining / info.duration;
                     let rem = info.work.scaled(frac);
-                    self.fault_trace.push(FaultRecord {
+                    self.audit_trace.push(AuditEvent::CloneLost {
                         time: self.clock,
-                        kind: FaultRecordKind::CloneLost { query: info.query },
+                        query: info.query,
                     });
                     match by_query.iter_mut().find(|(q, _)| *q == info.query) {
                         Some((_, works)) => works.push(rem),
@@ -781,14 +774,10 @@ impl<M: ResponseModel> Runtime<M> {
                 // at its next touch.
                 self.fabric.restore_site(site);
                 self.schedule_cache.bump_epoch(site);
-                self.audit_trace.push(AuditEvent::EpochBump {
+                self.audit_trace.push(AuditEvent::SiteUp {
                     time: self.clock,
-                    epoch: self.schedule_cache.epoch(),
                     site,
-                });
-                self.fault_trace.push(FaultRecord {
-                    time: self.clock,
-                    kind: FaultRecordKind::SiteUp { site },
+                    epoch: self.schedule_cache.epoch(),
                 });
             }
         }
@@ -854,13 +843,6 @@ impl<M: ResponseModel> Runtime<M> {
                     "recovery re-pack leaked work for {query}: expected {expected_total}, \
                      placed {placed_total}"
                 );
-                self.audit_trace.push(AuditEvent::Repacked {
-                    time: self.clock,
-                    query,
-                    lost_total,
-                    expected_total,
-                    placed_total,
-                });
                 // Hold the phase barrier while dispatching: catching a
                 // target site up to the clock can retire this query's
                 // last outstanding clone, and without the guard that
@@ -877,12 +859,13 @@ impl<M: ResponseModel> Runtime<M> {
                     .expect("re-pack for query not running");
                 rq.parked -= 1;
                 rq.outstanding += dispatched;
-                self.fault_trace.push(FaultRecord {
+                self.audit_trace.push(AuditEvent::Repacked {
                     time: self.clock,
-                    kind: FaultRecordKind::Repacked {
-                        query,
-                        clones: placements.len(),
-                    },
+                    query,
+                    clones: placements.len(),
+                    lost_total,
+                    expected_total,
+                    placed_total,
                 });
             }
             None => {
@@ -910,13 +893,11 @@ impl<M: ResponseModel> Runtime<M> {
                         .get_mut(&query)
                         .expect("parked query not running")
                         .parked += 1;
-                    self.fault_trace.push(FaultRecord {
+                    self.audit_trace.push(AuditEvent::RetryScheduled {
                         time: self.clock,
-                        kind: FaultRecordKind::RetryScheduled {
-                            query,
-                            attempt: attempt + 1,
-                            at,
-                        },
+                        query,
+                        attempt: attempt + 1,
+                        at,
                     });
                 }
             }
@@ -970,9 +951,9 @@ impl<M: ResponseModel> Runtime<M> {
         self.records[id.0].outcome = Some(QueryOutcome::Aborted {
             reason: reason.to_owned(),
         });
-        self.fault_trace.push(FaultRecord {
+        self.audit_trace.push(AuditEvent::Aborted {
             time: self.clock,
-            kind: FaultRecordKind::Aborted { query: id },
+            query: id,
         });
     }
 
@@ -1096,9 +1077,9 @@ impl<M: ResponseModel> Runtime<M> {
                 .outstanding += dispatched;
             if !displaced.is_empty() {
                 for _ in &displaced {
-                    self.fault_trace.push(FaultRecord {
+                    self.audit_trace.push(AuditEvent::CloneLost {
                         time: self.clock,
-                        kind: FaultRecordKind::CloneLost { query: id },
+                        query: id,
                     });
                 }
                 self.handle_lost(id, displaced, 0);
@@ -1315,7 +1296,6 @@ impl<M: ResponseModel> Runtime<M> {
             self.records.clone(),
             sims.iter().map(|s| s.busy().to_vec()).collect(),
             self.depth_trace.clone(),
-            self.fault_trace.clone(),
         );
         s.cache = self.schedule_cache.stats();
         s.cache.batches_released = self.batches_released;
@@ -1663,7 +1643,7 @@ mod tests {
     }
 
     /// Runs `cfg` twice over the same submissions and asserts identical
-    /// digests and fault traces; returns the first summary.
+    /// digests and event streams; returns the first summary.
     fn deterministic(
         cfg: RuntimeConfig,
         submit: impl Fn(&mut Runtime<OverlapModel>),
@@ -1675,7 +1655,7 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a.digest(), b.digest(), "digest diverged across runs");
-        assert_eq!(a.faults, b.faults, "fault trace diverged across runs");
+        assert_eq!(a.trace, b.trace, "event stream diverged across runs");
         a
     }
 
@@ -1716,18 +1696,14 @@ mod tests {
             other => panic!("expected deadline abort, got {other:?}"),
         }
         // The retry's re-pack and the abort share t=3.0, in that order.
-        let at_deadline: Vec<&FaultRecordKind> = summary
-            .faults
-            .iter()
-            .filter(|r| r.time == 3.0)
-            .map(|r| &r.kind)
-            .collect();
+        let at_deadline: Vec<&AuditEvent> =
+            summary.trace.iter().filter(|e| e.time() == 3.0).collect();
         assert!(
-            matches!(at_deadline.first(), Some(FaultRecordKind::Repacked { .. })),
+            matches!(at_deadline.first(), Some(AuditEvent::Repacked { .. })),
             "{at_deadline:?}"
         );
         assert!(
-            matches!(at_deadline.last(), Some(FaultRecordKind::Aborted { .. })),
+            matches!(at_deadline.last(), Some(AuditEvent::Aborted { .. })),
             "{at_deadline:?}"
         );
         assert!((summary.horizon - 3.0).abs() < 1e-12);
@@ -1761,10 +1737,10 @@ mod tests {
         });
         assert_eq!(summary.queries[0].outcome, Some(QueryOutcome::Completed));
         let retries: Vec<f64> = summary
-            .faults
+            .trace
             .iter()
-            .filter_map(|r| match r.kind {
-                FaultRecordKind::RetryScheduled { at, .. } => Some(at),
+            .filter_map(|e| match e {
+                AuditEvent::RetryScheduled { at, .. } => Some(*at),
                 _ => None,
             })
             .collect();
@@ -1807,10 +1783,10 @@ mod tests {
             other => panic!("expected exhaustion abort, got {other:?}"),
         }
         let abort_time = summary
-            .faults
+            .trace
             .iter()
-            .find_map(|r| match r.kind {
-                FaultRecordKind::Aborted { .. } => Some(r.time),
+            .find_map(|e| match e {
+                AuditEvent::Aborted { time, .. } => Some(*time),
                 _ => None,
             })
             .expect("abort recorded");
@@ -1929,10 +1905,10 @@ mod tests {
                 ..
             }
         )));
-        // The fault trace records the reason too.
-        assert!(summary.faults.iter().any(|r| matches!(
-            r.kind,
-            FaultRecordKind::Shed {
+        // The event stream records the reason too.
+        assert!(summary.trace.iter().any(|e| matches!(
+            e,
+            AuditEvent::Shed {
                 reason: ShedReason::ControllerLastResort,
                 ..
             }

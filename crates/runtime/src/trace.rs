@@ -1,21 +1,22 @@
-//! Structured audit trace: cheap always-on events the runtime records at
-//! its invariant-bearing sites (phase dispatch, recovery re-pack, cache
-//! hit/insert, epoch bump), plus the tiny predicates the runtime's
-//! `debug_assert!` hooks evaluate inline.
+//! The run's one event stream: cheap always-on events the runtime records
+//! at its invariant-bearing sites (phase dispatch, cache hit/insert,
+//! controller decisions) and at every fault and recovery step (site
+//! crash and restore, lost clone, re-pack, retry, abort, shed), plus the
+//! tiny predicates the runtime's `debug_assert!` hooks evaluate inline.
 //!
-//! The trace exists so that `mrs-audit` (which depends on this crate, not
+//! The stream exists so that `mrs-audit` (which depends on this crate, not
 //! the other way round — no dependency cycle) can *re-check* conservation
 //! and coherence after the fact from a [`crate::metrics::RunSummary`]
 //! alone: the events carry the aggregate quantities (lost work, expected
-//! re-packed work including the EA1 startup surcharge, epochs) that the
-//! coarser [`crate::metrics::FaultRecord`] stream does not.
+//! re-packed work including the EA1 startup surcharge, epochs), and the
+//! summary's fault counters are counts over it.
 //!
 //! Events are plain values recorded in simulation-event order; the
 //! sequence is deterministic for a fixed seed and identical across
 //! `--jobs` values (it lives entirely inside one runtime's event loop).
 
 use crate::control::{ControlAction, PressureSample};
-use crate::job::QueryId;
+use crate::job::{QueryId, ShedReason};
 use mrs_core::resource::SiteId;
 use mrs_core::vector::WorkVector;
 
@@ -34,7 +35,8 @@ pub enum AuditEvent {
         /// 0-based phase index within the query's TreeSchedule.
         phase: usize,
     },
-    /// Lost work of `query` was successfully re-packed onto survivors.
+    /// Lost work of `query` was successfully re-packed onto `clones`
+    /// replacement clones on the surviving sites.
     ///
     /// Conservation invariant: `placed_total` must equal
     /// `expected_total`, which is the lost work inflated by the rebuild
@@ -45,6 +47,8 @@ pub enum AuditEvent {
         time: f64,
         /// The recovering query.
         query: QueryId,
+        /// Number of replacement clones dispatched.
+        clones: usize,
         /// Total lost work (already scaled by the unfinished fraction).
         lost_total: f64,
         /// Lost work + rebuild surcharge + per-clone startup `α`.
@@ -66,7 +70,8 @@ pub enum AuditEvent {
     /// Coherence invariant (see [`audit_cache_hit_coherent`]): the entry
     /// must have been inserted no later than the hit (`insert_epoch <=
     /// hit_epoch`), `hit_epoch` must be the epoch actually current at
-    /// hit time (replayable from the [`AuditEvent::EpochBump`] stream),
+    /// hit time (replayable from the [`AuditEvent::SiteDown`] /
+    /// [`AuditEvent::SiteUp`] stream),
     /// and no site in the entry's footprint may have changed after
     /// insertion — a plan is only served while its own environment is
     /// unshifted.
@@ -82,14 +87,65 @@ pub enum AuditEvent {
         /// The entry's site footprint (sorted, deduplicated homes).
         touched: Vec<usize>,
     },
-    /// The cache epoch advanced (a site crashed or recovered).
-    EpochBump {
-        /// Virtual time of the environment change.
+    /// A site crashed, evicting `clones_lost` resident clones, and the
+    /// cache epoch advanced to `epoch`.
+    SiteDown {
+        /// Virtual crash time.
         time: f64,
-        /// The new epoch.
-        epoch: u64,
-        /// The site whose availability changed.
+        /// The crashed site.
         site: usize,
+        /// The new cache epoch.
+        epoch: u64,
+        /// Clones evicted by the crash.
+        clones_lost: usize,
+    },
+    /// A crashed site came back, empty, and the cache epoch advanced to
+    /// `epoch`.
+    SiteUp {
+        /// Virtual restore time.
+        time: f64,
+        /// The recovered site.
+        site: usize,
+        /// The new cache epoch.
+        epoch: u64,
+    },
+    /// One clone of `query` was lost to a crash (or displaced from a
+    /// dead site at dispatch).
+    CloneLost {
+        /// Virtual time of the loss.
+        time: f64,
+        /// The owning query.
+        query: QueryId,
+    },
+    /// Recovery could not place `query`'s lost work; a retry is
+    /// scheduled.
+    RetryScheduled {
+        /// Virtual time the retry was scheduled.
+        time: f64,
+        /// The waiting query.
+        query: QueryId,
+        /// Which retry attempt this will be (1-based).
+        attempt: u32,
+        /// Virtual time the retry fires.
+        at: f64,
+    },
+    /// `query` was aborted (deadline or retries exhausted). Exactly one
+    /// per query whose outcome is `Aborted`.
+    Aborted {
+        /// Virtual abort time.
+        time: f64,
+        /// The aborted query.
+        query: QueryId,
+    },
+    /// `query` was shed at arrival. Exactly one per query whose outcome
+    /// is `Shed`, with the same reason.
+    Shed {
+        /// Virtual arrival time.
+        time: f64,
+        /// The shed query.
+        query: QueryId,
+        /// Which admission gate fired.
+        reason: ShedReason,
     },
     /// A freshly computed subtree fragment was memoized by the shared
     /// planner (plan sharing enabled only). `sig_hash` is a 64-bit fold
@@ -165,7 +221,12 @@ impl AuditEvent {
             | AuditEvent::Repacked { time, .. }
             | AuditEvent::CacheInsert { time, .. }
             | AuditEvent::CacheHit { time, .. }
-            | AuditEvent::EpochBump { time, .. }
+            | AuditEvent::SiteDown { time, .. }
+            | AuditEvent::SiteUp { time, .. }
+            | AuditEvent::CloneLost { time, .. }
+            | AuditEvent::RetryScheduled { time, .. }
+            | AuditEvent::Aborted { time, .. }
+            | AuditEvent::Shed { time, .. }
             | AuditEvent::FragmentInsert { time, .. }
             | AuditEvent::FragmentSpliced { time, .. }
             | AuditEvent::ControlDecision { time, .. } => *time,
@@ -190,7 +251,7 @@ pub fn audit_repack_conserves(expected_total: f64, placed_total: f64) -> bool {
 ///
 /// * the entry predates the hit (`insert_epoch <= hit_epoch`);
 /// * `hit_epoch` equals `current_epoch`, the epoch the auditor replayed
-///   from the `EpochBump` stream up to the hit;
+///   from the `SiteDown`/`SiteUp` stream up to the hit;
 /// * no site in the entry's footprint changed after insertion —
 ///   `site_last_bump(s)` is the replayed epoch of site `s`'s last
 ///   availability change (0 if it never changed).
@@ -281,10 +342,10 @@ mod tests {
 
     #[test]
     fn event_time_accessor_covers_all_variants() {
-        let ev = AuditEvent::EpochBump {
+        let ev = AuditEvent::SiteUp {
             time: 2.5,
-            epoch: 1,
             site: 0,
+            epoch: 1,
         };
         assert_eq!(ev.time(), 2.5);
         let ev = AuditEvent::PhaseDispatched {

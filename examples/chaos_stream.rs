@@ -116,10 +116,21 @@ fn main() {
         );
     }
 
-    // --- 6. The fault/recovery trace ---------------------------------------
-    println!("\nfault trace:");
-    for rec in &summary.faults {
-        println!("  t={:<8.1} {:?}", rec.time, rec.kind);
+    // --- 6. The fault/recovery events ---------------------------------------
+    println!("\nfault and recovery events:");
+    for ev in &summary.trace {
+        if matches!(
+            ev,
+            AuditEvent::SiteDown { .. }
+                | AuditEvent::SiteUp { .. }
+                | AuditEvent::CloneLost { .. }
+                | AuditEvent::Repacked { .. }
+                | AuditEvent::RetryScheduled { .. }
+                | AuditEvent::Aborted { .. }
+                | AuditEvent::Shed { .. }
+        ) {
+            println!("  {ev:?}");
+        }
     }
     println!(
         "\n{} completed, {} aborted, {} shed of {} in {:.1}s — \

@@ -139,7 +139,7 @@ fn faulted_stream_is_deterministic_and_terminal() {
             qa.outcome
         );
     }
-    assert_eq!(a.faults, b.faults, "fault traces must be identical");
+    assert_eq!(a.trace, b.trace, "event streams must be identical");
     assert_eq!(a.depth_trace, b.depth_trace);
     assert_eq!(a.site_busy, b.site_busy);
 }
