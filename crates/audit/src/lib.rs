@@ -13,7 +13,8 @@
 //!   TREESCHEDULE result; [`run::audit_run`] replays a runtime
 //!   [`RunSummary`]'s structured trace to verify fluid-sharing
 //!   feasibility (peak *and* time-averaged), work conservation through
-//!   fault recovery, and cache-epoch coherence;
+//!   fault recovery, site up/down transitions, and fragment-splice
+//!   coherence;
 //!   [`clones::audit_clone_log`] checks clone conservation over the
 //!   site layer's clone-event log. All checks collect
 //!   machine-readable [`violation::Violation`]s rather than panicking.

@@ -10,10 +10,8 @@ use crate::violation::Violation;
 use mrs_runtime::control::ControllerConfig;
 use mrs_runtime::job::{QueryOutcome, ShedReason};
 use mrs_runtime::metrics::RunSummary;
-use mrs_runtime::trace::{
-    audit_cache_hit_coherent, audit_control_transition, audit_repack_conserves, AuditEvent,
-};
-use std::collections::HashMap;
+use mrs_runtime::trace::{audit_control_transition, audit_repack_conserves, AuditEvent};
+use std::collections::{HashMap, HashSet};
 
 /// Tolerance for comparing busy-time integrals against the horizon:
 /// the integrator takes many small steps, so allow proportional
@@ -28,7 +26,8 @@ const UTIL_TOL: f64 = 1e-9;
 /// Audits one finished run: terminal outcomes and their agreement with
 /// the `Aborted`/`Shed` events, busy-time sanity, fluid feasibility,
 /// trace ordering, per-query phase monotonicity, recovery conservation,
-/// and cache-epoch coherence.
+/// site up/down transitions, controller steps, and fragment-splice
+/// digests.
 pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     let mut out = Vec::new();
 
@@ -115,16 +114,12 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     }
 
     // Trace-level checks: time monotonicity, per-query phase order,
-    // epoch progression, conservation, cache coherence. The cache check
-    // replays the environment from the SiteDown/SiteUp events — the
-    // current global epoch and each site's last-change epoch — so a
-    // CacheHit's claimed epochs and footprint are validated against
-    // recorded history, not taken at face value.
+    // site transitions, conservation, splice coherence. Site state is
+    // replayed from the SiteDown/SiteUp events: every site starts up, a
+    // crash must name an up site and a restore a down one.
     let mut last_time = f64::NEG_INFINITY;
     let mut last_phase: HashMap<usize, usize> = HashMap::new();
-    let mut last_epoch: Option<u64> = None;
-    let mut current_epoch: u64 = 0;
-    let mut site_bump: HashMap<usize, u64> = HashMap::new();
+    let mut down: HashSet<usize> = HashSet::new();
     // Controller replay state: every run starts at level 0 with the
     // gate released; each recorded decision must be one valid step.
     let mut ctl_level: u32 = 0;
@@ -132,8 +127,7 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     // Fragment registry replayed from FragmentInsert events: digest of
     // the sub-schedule each signature was memoized with. Every splice
     // must reproduce that digest bit-for-bit (signature equality must
-    // imply identical sub-schedules) and pass the same epoch/footprint
-    // coherence test as a whole-plan hit.
+    // imply identical sub-schedules).
     let mut fragment_digest: HashMap<u64, u64> = HashMap::new();
     // Terminal events per query: `None` for Aborted, the reason for Shed.
     let mut terminal: HashMap<usize, Vec<Option<ShedReason>>> = HashMap::new();
@@ -174,37 +168,15 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
                     });
                 }
             }
-            AuditEvent::CacheHit {
-                query,
-                insert_epoch,
-                hit_epoch,
-                touched,
-                ..
-            } => {
-                let coherent = audit_cache_hit_coherent(
-                    *insert_epoch,
-                    *hit_epoch,
-                    current_epoch,
-                    touched,
-                    |s| site_bump.get(&s).copied().unwrap_or(0),
-                );
-                if !coherent {
-                    out.push(Violation::StaleCacheHit {
-                        query: *query,
-                        insert_epoch: *insert_epoch,
-                        hit_epoch: *hit_epoch,
-                    });
+            AuditEvent::SiteDown { site, .. } => {
+                if !down.insert(*site) {
+                    out.push(Violation::SiteTransition { index, site: *site });
                 }
             }
-            AuditEvent::SiteDown { site, epoch, .. } | AuditEvent::SiteUp { site, epoch, .. } => {
-                if let Some(prev) = last_epoch {
-                    if *epoch <= prev {
-                        out.push(Violation::EpochRegression { prev, next: *epoch });
-                    }
+            AuditEvent::SiteUp { site, .. } => {
+                if !down.remove(site) {
+                    out.push(Violation::SiteTransition { index, site: *site });
                 }
-                last_epoch = Some(*epoch);
-                current_epoch = *epoch;
-                site_bump.insert(*site, *epoch);
             }
             AuditEvent::ControlDecision {
                 action,
@@ -230,27 +202,10 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
             }
             AuditEvent::FragmentSpliced {
                 query,
-                insert_epoch,
-                hit_epoch,
-                touched,
                 sig_hash,
                 digest,
                 ..
             } => {
-                let coherent = audit_cache_hit_coherent(
-                    *insert_epoch,
-                    *hit_epoch,
-                    current_epoch,
-                    touched,
-                    |s| site_bump.get(&s).copied().unwrap_or(0),
-                );
-                if !coherent {
-                    out.push(Violation::StaleFragmentSplice {
-                        query: *query,
-                        insert_epoch: *insert_epoch,
-                        hit_epoch: *hit_epoch,
-                    });
-                }
                 match fragment_digest.get(sig_hash) {
                     Some(&inserted) if inserted == *digest => {}
                     Some(&inserted) => out.push(Violation::FragmentDigestMismatch {
@@ -275,6 +230,7 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
                 terminal.entry(query.0).or_default().push(Some(*reason));
             }
             AuditEvent::CacheInsert { .. }
+            | AuditEvent::CacheHit { .. }
             | AuditEvent::CloneLost { .. }
             | AuditEvent::RetryScheduled { .. } => {}
         }
@@ -470,27 +426,22 @@ mod tests {
         let insert = AuditEvent::FragmentInsert {
             time: 1.0,
             query: QueryId(0),
-            epoch: 0,
             sig_hash: 0xABCD,
             digest: 77,
         };
         let splice = |digest: u64| AuditEvent::FragmentSpliced {
             time: 2.0,
             query: QueryId(1),
-            insert_epoch: 0,
-            hit_epoch: 0,
-            touched: vec![1, 2],
             sig_hash: 0xABCD,
             digest,
         };
 
-        // Clean: splice reproduces the inserted digest at a coherent
-        // epoch.
+        // Clean: the splice reproduces the inserted digest.
         let s = summary_with_trace(vec![insert.clone(), splice(77)]);
         assert!(audit_run(&s).is_empty(), "clean splice replay");
 
         // Digest drift between insert and splice.
-        let s = summary_with_trace(vec![insert.clone(), splice(78)]);
+        let s = summary_with_trace(vec![insert, splice(78)]);
         let v = audit_run(&s);
         assert!(v.iter().any(|x| x.kind() == "fragment-digest"), "{v:?}");
 
@@ -498,32 +449,6 @@ mod tests {
         let s = summary_with_trace(vec![splice(77)]);
         let v = audit_run(&s);
         assert!(v.iter().any(|x| x.kind() == "fragment-digest"), "{v:?}");
-
-        // A bump inside the fragment's footprint between insert and
-        // splice makes the splice stale.
-        let s = summary_with_trace(vec![
-            insert,
-            AuditEvent::SiteDown {
-                time: 1.5,
-                site: 2,
-                epoch: 1,
-                clones_lost: 0,
-            },
-            AuditEvent::FragmentSpliced {
-                time: 2.0,
-                query: QueryId(1),
-                insert_epoch: 0,
-                hit_epoch: 1,
-                touched: vec![1, 2],
-                sig_hash: 0xABCD,
-                digest: 77,
-            },
-        ]);
-        let v = audit_run(&s);
-        assert!(
-            v.iter().any(|x| x.kind() == "stale-fragment-splice"),
-            "{v:?}"
-        );
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::fmt;
 /// architecture"): Definition 5.1's structural constraints, the `CG_f`
 /// degree cap, Section 5.5's placement propagation, phase-barrier
 /// ordering, the Theorem 5.1 makespan certificate, fluid-sharing
-/// feasibility, work conservation through recovery, and cache-epoch
-/// coherence.
+/// feasibility, work conservation through recovery, site up/down
+/// transitions, and fragment-splice coherence.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
     /// The input was structurally malformed before any invariant could
@@ -167,17 +167,6 @@ pub enum Violation {
         /// Total actually placed.
         placed: f64,
     },
-    /// A cache hit served a plan inserted under an older epoch — a
-    /// schedule computed against a site population that has since
-    /// crashed or recovered.
-    StaleCacheHit {
-        /// The query served the stale plan.
-        query: QueryId,
-        /// Epoch the entry was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at hit time.
-        hit_epoch: u64,
-    },
     /// A query's phases were dispatched out of order.
     PhaseRegression {
         /// The offending query.
@@ -187,13 +176,13 @@ pub enum Violation {
         /// The (not later) phase index dispatched next.
         next: usize,
     },
-    /// The cache epoch moved backwards (or stalled) across two
-    /// consecutive `SiteDown`/`SiteUp` events.
-    EpochRegression {
-        /// The previously recorded epoch.
-        prev: u64,
-        /// The (not larger) epoch recorded next.
-        next: u64,
+    /// A `SiteDown` named a site that was already down, or a `SiteUp` a
+    /// site that was up (every site starts up).
+    SiteTransition {
+        /// Index of the offending event in the trace.
+        index: usize,
+        /// The site whose replayed state the event contradicts.
+        site: usize,
     },
     /// A query reached the end of the run without a terminal outcome.
     OutcomeMissing {
@@ -291,18 +280,6 @@ pub enum Violation {
         /// The governed cap it had to respect.
         cap: usize,
     },
-    /// A shared-plan splice served a fragment inserted under an older
-    /// epoch whose footprint has since changed — the spliced
-    /// sub-schedule was computed against a site population that crashed
-    /// or recovered in between.
-    StaleFragmentSplice {
-        /// The query whose plan spliced the stale fragment.
-        query: QueryId,
-        /// Epoch the fragment was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at splice time.
-        hit_epoch: u64,
-    },
     /// A spliced fragment's digest differs from the digest recorded
     /// when that signature's fragment was inserted — signature equality
     /// failed to imply bit-identical sub-schedules.
@@ -340,9 +317,8 @@ impl Violation {
             Violation::UtilizationInfeasible { .. } => "utilization",
             Violation::BusyExceedsHorizon { .. } => "busy-exceeds-horizon",
             Violation::ConservationBroken { .. } => "conservation",
-            Violation::StaleCacheHit { .. } => "stale-cache-hit",
             Violation::PhaseRegression { .. } => "phase-regression",
-            Violation::EpochRegression { .. } => "epoch-regression",
+            Violation::SiteTransition { .. } => "site-transition",
             Violation::OutcomeMissing { .. } => "outcome-missing",
             Violation::OutcomeEventMismatch { .. } => "outcome-event",
             Violation::TraceDisordered { .. } => "trace-disordered",
@@ -353,7 +329,6 @@ impl Violation {
             Violation::ControlUnjustified { .. } => "control-unjustified",
             Violation::ControlWhileDisabled { .. } => "control-disabled",
             Violation::GovernedDegreeExceeded { .. } => "governed-degree",
-            Violation::StaleFragmentSplice { .. } => "stale-fragment-splice",
             Violation::FragmentDigestMismatch { .. } => "fragment-digest",
         }
     }
@@ -437,20 +412,13 @@ impl fmt::Display for Violation {
                 fm,
                 "re-pack for {query} placed {placed}, expected {expected}"
             ),
-            Violation::StaleCacheHit {
-                query,
-                insert_epoch,
-                hit_epoch,
-            } => write!(
-                fm,
-                "{query} served a plan from epoch {insert_epoch} at epoch {hit_epoch}"
-            ),
             Violation::PhaseRegression { query, prev, next } => {
                 write!(fm, "{query} dispatched phase {next} after phase {prev}")
             }
-            Violation::EpochRegression { prev, next } => {
-                write!(fm, "cache epoch went from {prev} to {next}")
-            }
+            Violation::SiteTransition { index, site } => write!(
+                fm,
+                "trace event {index} contradicts site {site}'s replayed up/down state"
+            ),
             Violation::OutcomeMissing { query } => {
                 write!(fm, "{query} has no terminal outcome")
             }
@@ -510,14 +478,6 @@ impl fmt::Display for Violation {
             Violation::GovernedDegreeExceeded { op, degree, cap } => {
                 write!(fm, "{op} at degree {degree} exceeds the governed cap {cap}")
             }
-            Violation::StaleFragmentSplice {
-                query,
-                insert_epoch,
-                hit_epoch,
-            } => write!(
-                fm,
-                "{query} spliced a fragment from epoch {insert_epoch} at epoch {hit_epoch}"
-            ),
             Violation::FragmentDigestMismatch {
                 query,
                 sig_hash,

@@ -8,7 +8,8 @@
 //! everywhere: a non-zero count means a scheduler path emitted something
 //! that breaks Definition 5.1, the `CG_f` cap, placement propagation,
 //! the Theorem 5.1 certificate, fluid feasibility, work conservation
-//! through recovery, or cache-epoch coherence.
+//! through recovery, site up/down transitions, or fragment-splice
+//! coherence.
 //!
 //! Family → experiment-id coverage:
 //!
@@ -28,9 +29,9 @@
 //! * `runtime-clean` — `throughput` (fault-free served stream under
 //!   both admission policies, trace + feasibility audit).
 //! * `runtime-faults` — `faults` (the X13 crash/recovery sweep; work
-//!   conservation and cache-epoch coherence audited from the trace).
+//!   conservation and site up/down transitions audited from the trace).
 //! * `runtime-cache` — the templated `serve` stream (every plan
-//!   submitted twice: cache hits must be epoch-coherent).
+//!   submitted twice: the stream must hit the cache and audit clean).
 //! * `runtime-clones` — the served stream, clean and faulty: the site
 //!   layer's clone-event log must conserve every clone (one dispatch,
 //!   at most one terminal event, never before the dispatch).
@@ -42,8 +43,7 @@
 //!   caps.
 //! * `runtime-mqo` — the X16 batched-admission runs (overlap-templated
 //!   batches, sharing on, clean and faulty): every fragment splice must
-//!   be epoch/footprint-coherent and reproduce its insert-time digest
-//!   bit-for-bit.
+//!   reproduce its insert-time digest bit-for-bit.
 //! * `source-lint` — the `mrs-lint` scanner over the committed tree
 //!   itself: the determinism rules plus the `atomics` family (raw
 //!   primitives, ordering tokens, and thread spawns are confined to the
@@ -400,8 +400,8 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         });
     }
 
-    // runtime-cache: every plan submitted twice — hits must be
-    // epoch-coherent, and a templated stream must actually hit.
+    // runtime-cache: every plan submitted twice — the run must audit
+    // clean, and a templated stream must actually hit.
     {
         let mut violations = Vec::new();
         let rt_cfg = RuntimeConfig {
@@ -563,8 +563,8 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     // runtime-mqo: batched admission with cross-query plan sharing.
     // Overlap-templated batches planned under a batch window with
     // sharing on must actually splice subtree fragments (guard), and
-    // every recorded splice must replay epoch-coherent and
-    // digest-identical against its FragmentInsert.
+    // every recorded splice must replay digest-identical against its
+    // FragmentInsert.
     {
         let mut violations = Vec::new();
         let mut cells = 0;

@@ -18,11 +18,12 @@
 //! two modes degenerate to the same per-query planning (modulo the
 //! packing-strategy difference, which the `throughput` column keeps
 //! honest). The faults scenario replays the X13 crash/recovery schedule
-//! on top, exercising footprint-partial fragment invalidation: a crash
-//! must stale exactly the fragments whose homes it touched.
+//! on top: plans and fragments never read site state, so a crash evicts
+//! nothing from either memo and recovery re-packs around the dead site
+//! at dispatch.
 //!
 //! Sharing is a *planning* optimization, not a semantics change: every
-//! splice is audited for epoch coherence and digest identity (the
+//! splice is audited for digest identity (the
 //! `runtime-mqo` audit family), and with sharing disabled the runtime's
 //! trajectory is byte-identical to the pre-MQO path (CI diffs the serve
 //! transcript).

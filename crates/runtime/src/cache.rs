@@ -22,23 +22,15 @@
 //!   wrong schedule. The shadow-compute test (`verify_cache` in
 //!   [`RuntimeConfig`](crate::runtime::RuntimeConfig)) enforces this by
 //!   re-planning on hits and comparing [`schedule_digest`]s.
-//! * **Footprint invalidation.** `tree_schedule` plans against the full
-//!   site set; the runtime's recovery layer reacts to crashes by
-//!   re-packing *around* dead sites at dispatch. A cached schedule is
-//!   still the correct *admission* schedule after any fault, but the
-//!   cache semantics stay conservative: never serve a plan whose own
-//!   environment has shifted. Each entry records its *site footprint* —
-//!   the sorted, deduplicated set of homes its clones land on — and each
-//!   site remembers the epoch of its last availability change
-//!   ([`ScheduleCache::bump_epoch`] takes the changed site). A lookup
-//!   re-validates the entry against its footprint: if any touched site
-//!   changed after the entry was inserted, the entry is evicted
-//!   (counted in [`CacheStats::stale_evictions`]) and the lookup counts
-//!   as a miss. Faults on sites a plan never touches leave it servable —
-//!   the previous scheme cleared the whole table on every bump, which on
-//!   fault-heavy streams threw away every unrelated template. Rate
-//!   changes would bump epochs too, but straggler rates are fixed at
-//!   construction in the current runtime.
+//! * **No invalidation.** The planner never reads site state: a plan is a
+//!   pure function of `(problem, f, cap)` under the static `SystemSpec`,
+//!   communication and response models. A site crash or restore
+//!   therefore cannot change any plan — re-planning after one computes
+//!   the bit-identical schedule again. The runtime's recovery layer
+//!   reacts to crashes by re-packing *around* dead sites at dispatch, so
+//!   entries and subtree fragments live for the cache's lifetime and a
+//!   fault evicts nothing ([`ScheduleCache::count_site_change`] only
+//!   counts it).
 
 use mrs_core::operator::Placement;
 use mrs_core::shared::{ScheduleFragment, SharedStats, SubtreeSig};
@@ -53,11 +45,11 @@ pub struct CacheStats {
     pub hits: u64,
     /// Admissions that computed a fresh plan — the run's re-plan count.
     pub misses: u64,
-    /// Epoch bumps: per-site environment changes (site crash or
-    /// restore).
+    /// Site availability changes (crashes plus restores) seen by the
+    /// cache. Counted only: no change evicts anything.
     pub epoch_bumps: u64,
-    /// Entries evicted at lookup because a site in their footprint
-    /// changed after insertion.
+    /// Always 0: the cache never evicts (see the [module docs](self)).
+    /// Kept so existing readers of the counter still compile.
     pub stale_evictions: u64,
     /// Subtree fragments served from the memo by the shared planner
     /// (one per spliced subtree; zero when plan sharing is off).
@@ -155,70 +147,26 @@ impl PlanSignature {
     }
 }
 
-/// One memoized schedule with its coherence metadata.
-#[derive(Debug)]
-struct CacheEntry {
-    /// The memoized schedule.
-    schedule: Arc<TreeScheduleResult>,
-    /// Global epoch at insertion time.
-    insert_epoch: u64,
-    /// Sorted, deduplicated site footprint (see [`schedule_footprint`]).
-    touched: Vec<usize>,
-}
-
-/// One memoized subtree fragment with its coherence metadata — the
-/// subtree-grained analogue of [`CacheEntry`], validated against its own
-/// per-fragment footprint at lookup.
-#[derive(Debug)]
-struct FragmentEntry {
-    /// The memoized sub-schedule in canonical id space.
-    frag: Arc<ScheduleFragment>,
-    /// Global epoch at insertion time.
-    insert_epoch: u64,
-    /// Sorted, deduplicated site footprint of the fragment.
-    touched: Vec<usize>,
-    /// Bit-level digest of the fragment at insertion (see
-    /// [`fragment_digest`]), replayed by the sharing-coherence audit.
-    digest: u64,
-}
-
-/// An epoch-guarded memo table from [`PlanSignature`] to the schedule,
-/// with per-site invalidation. See the [module docs](self).
+/// A memo table from [`PlanSignature`] to the schedule, plus the shared
+/// planner's subtree-fragment memo. Nothing is ever evicted; see the
+/// [module docs](self).
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: HashMap<PlanSignature, CacheEntry>,
-    /// Subtree-grained memo for the shared planner, same invalidation
-    /// discipline as `entries` but with per-fragment footprints.
-    subtree: HashMap<SubtreeSig, FragmentEntry>,
-    /// Global epoch: incremented on every environment change.
-    epoch: u64,
-    /// Per site, the global epoch of its last availability change (`0` =
-    /// never changed).
-    site_epoch: Vec<u64>,
+    entries: HashMap<PlanSignature, Arc<TreeScheduleResult>>,
+    /// Subtree-grained memo for the shared planner: each fragment with
+    /// its bit-level digest at insertion (see [`fragment_digest`]),
+    /// replayed by the sharing-coherence audit.
+    subtree: HashMap<SubtreeSig, (Arc<ScheduleFragment>, u64)>,
     stats: CacheStats,
 }
 
 impl ScheduleCache {
-    /// An empty cache at epoch 0 over `sites` sites.
-    pub fn new(sites: usize) -> Self {
-        ScheduleCache {
-            site_epoch: vec![0; sites],
-            ..ScheduleCache::default()
-        }
+    /// An empty cache.
+    pub fn new() -> Self {
+        ScheduleCache::default()
     }
 
-    /// The current global epoch (bumped on every environment change).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The epoch of `site`'s last availability change (`0` if it never
-    /// changed).
-    pub fn site_epoch(&self, site: usize) -> u64 {
-        self.site_epoch.get(site).copied().unwrap_or(0)
-    }
-
-    /// Hit/miss/bump counters so far.
+    /// Hit/miss/site-change counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -233,54 +181,23 @@ impl ScheduleCache {
         self.entries.is_empty()
     }
 
-    /// Looks up `sig`, counting a hit or miss. An entry whose footprint
-    /// shifted (some touched site bumped after insertion) is evicted and
-    /// counted as both a miss and a stale eviction. A valid hit returns
-    /// the schedule, the epoch it was inserted under, and its footprint
-    /// (both surfaced to the cache-coherence audit).
-    pub fn get(
-        &mut self,
-        sig: &PlanSignature,
-    ) -> Option<(Arc<TreeScheduleResult>, u64, Vec<usize>)> {
-        if let Some(entry) = self.entries.get(sig) {
-            let fresh = entry
-                .touched
-                .iter()
-                .all(|&s| self.site_epoch(s) <= entry.insert_epoch);
-            if fresh {
+    /// Looks up `sig`, counting a hit or miss.
+    pub fn get(&mut self, sig: &PlanSignature) -> Option<Arc<TreeScheduleResult>> {
+        match self.entries.get(sig) {
+            Some(schedule) => {
                 self.stats.hits += 1;
-                return Some((
-                    Arc::clone(&entry.schedule),
-                    entry.insert_epoch,
-                    entry.touched.clone(),
-                ));
+                Some(Arc::clone(schedule))
             }
-            self.entries.remove(sig);
-            self.stats.stale_evictions += 1;
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         }
-        self.stats.misses += 1;
-        None
     }
 
-    /// Records a freshly computed schedule under `sig`, stamped with the
-    /// current epoch and its site footprint (sorted and deduplicated
-    /// here, so callers can pass raw home lists).
-    pub fn insert(
-        &mut self,
-        sig: PlanSignature,
-        schedule: Arc<TreeScheduleResult>,
-        mut touched: Vec<usize>,
-    ) {
-        touched.sort_unstable();
-        touched.dedup();
-        self.entries.insert(
-            sig,
-            CacheEntry {
-                schedule,
-                insert_epoch: self.epoch,
-                touched,
-            },
-        );
+    /// Records a freshly computed schedule under `sig`.
+    pub fn insert(&mut self, sig: PlanSignature, schedule: Arc<TreeScheduleResult>) {
+        self.entries.insert(sig, schedule);
     }
 
     /// Number of memoized subtree fragments.
@@ -288,52 +205,22 @@ impl ScheduleCache {
         self.subtree.len()
     }
 
-    /// Looks up a subtree fragment. A stale entry (some touched site
-    /// bumped after insertion) is evicted, counted in
-    /// [`CacheStats::stale_evictions`], and reported as a miss. A valid
-    /// hit returns the fragment plus the coherence metadata the
-    /// sharing audit events carry (insert epoch, footprint, digest).
+    /// Looks up a subtree fragment, returning it with the digest its
+    /// insertion recorded (carried by the sharing audit events).
     /// Hit/miss *counters* are charged by [`ScheduleCache::absorb_shared`]
     /// from the planner's own tally, not here, so a splice is counted
     /// exactly once.
-    pub fn fragment_get(
-        &mut self,
-        sig: &SubtreeSig,
-    ) -> Option<(Arc<ScheduleFragment>, u64, Vec<usize>, u64)> {
-        if let Some(entry) = self.subtree.get(sig) {
-            let fresh = entry
-                .touched
-                .iter()
-                .all(|&s| self.site_epoch(s) <= entry.insert_epoch);
-            if fresh {
-                return Some((
-                    Arc::clone(&entry.frag),
-                    entry.insert_epoch,
-                    entry.touched.clone(),
-                    entry.digest,
-                ));
-            }
-            self.subtree.remove(sig);
-            self.stats.stale_evictions += 1;
-        }
-        None
+    pub fn fragment_get(&self, sig: &SubtreeSig) -> Option<(Arc<ScheduleFragment>, u64)> {
+        self.subtree
+            .get(sig)
+            .map(|(frag, digest)| (Arc::clone(frag), *digest))
     }
 
-    /// Memoizes a freshly computed subtree fragment, stamped with the
-    /// current epoch, its own footprint, and its bit-level digest.
-    /// Returns the digest so the caller can log it.
+    /// Memoizes a freshly computed subtree fragment with its bit-level
+    /// digest. Returns the digest so the caller can log it.
     pub fn fragment_insert(&mut self, sig: SubtreeSig, frag: Arc<ScheduleFragment>) -> u64 {
         let digest = fragment_digest(&frag);
-        let touched = frag.footprint();
-        self.subtree.insert(
-            sig,
-            FragmentEntry {
-                frag,
-                insert_epoch: self.epoch,
-                touched,
-                digest,
-            },
-        );
+        self.subtree.insert(sig, (frag, digest));
         digest
     }
 
@@ -347,31 +234,12 @@ impl ScheduleCache {
         self.stats.tasks_planned += shared.tasks_planned;
     }
 
-    /// `site`'s availability changed (crash or restore): advance the
-    /// global epoch and stamp the site. Entries are *not* cleared here;
-    /// each is re-validated against its own footprint at lookup, so
-    /// plans that never touch `site` stay servable.
-    pub fn bump_epoch(&mut self, site: usize) {
-        self.epoch += 1;
+    /// A site's availability changed (crash or restore). Counted in
+    /// [`CacheStats::epoch_bumps`]; no entry depends on site state, so
+    /// nothing is evicted.
+    pub fn count_site_change(&mut self) {
         self.stats.epoch_bumps += 1;
-        if let Some(e) = self.site_epoch.get_mut(site) {
-            *e = self.epoch;
-        }
     }
-}
-
-/// The sorted, deduplicated set of sites a schedule's clones land on —
-/// the footprint a cache entry is validated against.
-pub fn schedule_footprint(schedule: &TreeScheduleResult) -> Vec<usize> {
-    let mut touched: Vec<usize> = schedule
-        .phases
-        .iter()
-        .flat_map(|p| p.schedule.assignment.homes.iter())
-        .flat_map(|homes| homes.iter().map(|s| s.0))
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
-    touched
 }
 
 /// A canonical bit-level digest of a schedule, used by the shadow-compute
@@ -523,53 +391,40 @@ mod tests {
 
     #[test]
     fn cache_counts_hits_misses_and_bumps() {
-        let mut cache = ScheduleCache::new(4);
+        let mut cache = ScheduleCache::new();
         let sig = PlanSignature::of(&problem(2.0), 0.7);
         assert!(cache.get(&sig).is_none());
         let sched = sched();
-        cache.insert(sig.clone(), Arc::clone(&sched), vec![2, 0, 2]);
+        cache.insert(sig.clone(), Arc::clone(&sched));
         assert_eq!(cache.len(), 1);
-        let (hit, inserted, touched) = cache.get(&sig).expect("second lookup hits");
+        cache.count_site_change();
+        let hit = cache.get(&sig).expect("a site change evicts nothing");
         assert!(Arc::ptr_eq(&hit, &sched));
-        assert_eq!(inserted, cache.epoch(), "hit is epoch-coherent");
-        assert_eq!(touched, vec![0, 2], "footprint sorted and deduplicated");
         assert_eq!(
             cache.stats(),
             CacheStats {
                 hits: 1,
                 misses: 1,
+                epoch_bumps: 1,
                 ..CacheStats::default()
             }
         );
     }
 
     #[test]
-    fn bump_on_a_touched_site_evicts_at_lookup() {
-        let mut cache = ScheduleCache::new(4);
-        let sig = PlanSignature::of(&problem(2.0), 0.7);
-        cache.get(&sig);
-        cache.insert(sig.clone(), sched(), vec![0, 2]);
-        cache.bump_epoch(2);
-        assert_eq!(cache.epoch(), 1);
-        assert_eq!(cache.site_epoch(2), 1);
-        assert!(cache.get(&sig).is_none(), "footprint site changed");
-        assert_eq!(cache.len(), 0, "stale entry evicted");
-        let stats = cache.stats();
-        assert_eq!(stats.epoch_bumps, 1);
-        assert_eq!(stats.stale_evictions, 1);
-        assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
     fn bump_on_an_untouched_site_keeps_the_entry_servable() {
-        let mut cache = ScheduleCache::new(4);
+        // A crash and a restore of some site: the plan never read site
+        // state, so the entry stays servable and nothing is evicted.
+        let mut cache = ScheduleCache::new();
         let sig = PlanSignature::of(&problem(2.0), 0.7);
         cache.get(&sig);
-        cache.insert(sig.clone(), sched(), vec![0, 2]);
-        cache.bump_epoch(3);
-        let (_, inserted, _) = cache.get(&sig).expect("footprint untouched by the bump");
-        assert_eq!(inserted, 0, "entry still carries its insert epoch");
+        cache.insert(sig.clone(), sched());
+        cache.count_site_change();
+        cache.count_site_change();
+        assert!(cache.get(&sig).is_some(), "a site change evicts nothing");
+        assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().epoch_bumps, 2);
         assert_eq!(cache.stats().stale_evictions, 0);
     }
 
@@ -615,40 +470,22 @@ mod tests {
 
     #[test]
     fn fragment_memo_round_trips_with_metadata() {
-        let mut cache = ScheduleCache::new(4);
+        let mut cache = ScheduleCache::new();
         let sig = sig_for(2.0);
         assert!(cache.fragment_get(&sig).is_none());
         let frag = fragment_for(&[1, 3]);
         let digest = cache.fragment_insert(sig.clone(), Arc::clone(&frag));
         assert_eq!(cache.fragments_len(), 1);
-        let (hit, inserted, touched, d) = cache.fragment_get(&sig).expect("memoized");
+        cache.count_site_change();
+        let (hit, d) = cache.fragment_get(&sig).expect("memoized");
         assert!(Arc::ptr_eq(&hit, &frag));
-        assert_eq!(inserted, 0);
-        assert_eq!(touched, vec![1, 3]);
         assert_eq!(d, digest);
         assert_eq!(d, fragment_digest(&frag));
     }
 
     #[test]
-    fn fragment_footprint_bump_evicts_only_touching_fragments() {
-        let mut cache = ScheduleCache::new(4);
-        let hit_sig = sig_for(2.0);
-        let miss_sig = sig_for(3.0);
-        cache.fragment_insert(hit_sig.clone(), fragment_for(&[0]));
-        cache.fragment_insert(miss_sig.clone(), fragment_for(&[2]));
-        cache.bump_epoch(2);
-        assert!(cache.fragment_get(&miss_sig).is_none(), "footprint hit");
-        assert!(
-            cache.fragment_get(&hit_sig).is_some(),
-            "footprint untouched"
-        );
-        assert_eq!(cache.fragments_len(), 1);
-        assert_eq!(cache.stats().stale_evictions, 1);
-    }
-
-    #[test]
     fn absorb_shared_accumulates_planner_counters() {
-        let mut cache = ScheduleCache::new(2);
+        let mut cache = ScheduleCache::new();
         cache.absorb_shared(&SharedStats {
             subtree_hits: 2,
             subtree_misses: 1,

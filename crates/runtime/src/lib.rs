@@ -9,7 +9,7 @@
 //! | [`admission`] | the wait queue and its policies (FCFS, smallest-volume-first, round-robin fair) |
 //! | [`ledger`] | per-site residual-capacity bookkeeping (re-exported from `mrs-shardexec`'s site layer) |
 //! | [`runtime`] | the deterministic event-driven dispatcher over the `mrs-shardexec` site layer |
-//! | [`cache`] | the plan-signature schedule cache (template memoization, epoch invalidation) |
+//! | [`cache`] | the plan-signature schedule cache (template and subtree-fragment memoization; never invalidated, since plans do not read site state) |
 //! | [`recovery`] | failure-aware rescheduling: re-packing lost work onto survivors |
 //! | [`control`] | adaptive overload control: the parallelism governor and backpressure admission gate |
 //! | [`trace`] | the run's one event stream (dispatch, cache, controller, fault and recovery events) and its audit predicates |
@@ -74,7 +74,6 @@ pub mod prelude {
     pub use crate::recovery::RecoveryConfig;
     pub use crate::runtime::{Runtime, RuntimeConfig, RuntimeError};
     pub use crate::trace::{
-        audit_cache_hit_coherent, audit_control_transition, audit_placements_valid,
-        audit_repack_conserves, AuditEvent,
+        audit_control_transition, audit_placements_valid, audit_repack_conserves, AuditEvent,
     };
 }

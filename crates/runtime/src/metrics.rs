@@ -26,7 +26,8 @@ pub struct RunSummary {
     /// `(time, queue depth)` after each event.
     pub depth_trace: Vec<(f64, usize)>,
     /// Schedule-cache counters: admission hits, fresh plans computed
-    /// (re-plan count), and epoch bumps. All-zero with no admissions.
+    /// (re-plan count), and site changes (`epoch_bumps`). All-zero with
+    /// no admissions.
     pub cache: CacheStats,
     /// The run's time-ordered event stream (see [`crate::trace`]): phase
     /// dispatches, cache inserts and hits, controller decisions, and
@@ -388,7 +389,6 @@ mod tests {
             AuditEvent::SiteDown {
                 time: 1.0,
                 site: 0,
-                epoch: 1,
                 clones_lost: 2,
             },
             AuditEvent::CloneLost {
@@ -403,11 +403,7 @@ mod tests {
                 expected_total: 1.2,
                 placed_total: 1.2,
             },
-            AuditEvent::SiteUp {
-                time: 2.0,
-                site: 0,
-                epoch: 2,
-            },
+            AuditEvent::SiteUp { time: 2.0, site: 0 },
         ];
         assert_eq!(s.completed(), 1);
         assert_eq!(s.aborted(), 1);

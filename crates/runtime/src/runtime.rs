@@ -30,9 +30,10 @@
 //! [`EventCalendar`](mrs_sim::calendar::EventCalendar) (sites advance
 //! only at their own events, or on demand when the runtime next touches
 //! them — see [`Runtime::touch_site`]), and admission TreeSchedules are
-//! memoized by plan signature in a [`ScheduleCache`](crate::cache) with
-//! per-site epoch invalidation: a failure or restore stales exactly the
-//! cached plans whose footprint includes the changed site. Retries stay
+//! memoized by plan signature in a [`ScheduleCache`](crate::cache). The
+//! cache is never invalidated: plans do not read site state, so a failure
+//! or restore leaves every cached plan servable, and recovery re-packs
+//! around dead sites at dispatch instead. Retries stay
 //! sorted by `(time, query)` and pending deadlines are tracked by a
 //! cursor over the time-sorted arrivals, so picking the next event costs
 //! O(1) instead of a fold per epoch.
@@ -44,14 +45,12 @@
 //! stayed).
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{schedule_digest, schedule_footprint, PlanSignature, ScheduleCache};
+use crate::cache::{schedule_digest, PlanSignature, ScheduleCache};
 use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::RunSummary;
 use crate::recovery::{backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig};
-use crate::trace::{
-    audit_cache_hit_coherent, audit_placements_valid, audit_repack_conserves, AuditEvent,
-};
+use crate::trace::{audit_placements_valid, audit_repack_conserves, AuditEvent};
 use mrs_core::comm::CommModel;
 use mrs_core::error::ScheduleError;
 use mrs_core::model::ResponseModel;
@@ -101,6 +100,15 @@ pub enum RuntimeError {
         /// Which admission gate refused it.
         reason: ShedReason,
     },
+    /// The virtual clock cannot advance: a completion is due at `time`,
+    /// but advancing the sites to `time` surfaces nothing and no other
+    /// event is due. This happens when a clone's remaining duration is
+    /// below one ULP of the clock (e.g. arrivals near `1e300`), so the
+    /// loop would otherwise spin forever.
+    ClockStalled {
+        /// The virtual time the clock is stuck at.
+        time: f64,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -115,6 +123,11 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Shed { query, reason } => {
                 write!(f, "{query} shed at arrival: {}", reason.label())
             }
+            RuntimeError::ClockStalled { time } => write!(
+                f,
+                "virtual clock stalled at t={time:e}: a completion is due but advancing \
+                 to it makes no progress"
+            ),
         }
     }
 }
@@ -277,8 +290,8 @@ pub struct Runtime<M: ResponseModel> {
     /// is monotone, so the cursor only advances.
     deadline_cursor: usize,
     /// Structured audit trace (see [`crate::trace`]): appended at phase
-    /// dispatch, recovery re-pack, cache hit/insert, epoch bumps, and
-    /// controller decisions; surfaced on the [`RunSummary`] for
+    /// dispatch, recovery re-pack, cache hit/insert, site crash and
+    /// restore, and controller decisions; surfaced on the [`RunSummary`] for
     /// `mrs-audit`.
     audit_trace: Vec<AuditEvent>,
     /// The adaptive overload controller (see [`crate::control`]). Never
@@ -295,10 +308,9 @@ pub struct Runtime<M: ResponseModel> {
     batch_members: u64,
 }
 
-/// [`FragmentCache`] adapter over the runtime's epoch-stamped
-/// [`ScheduleCache`]: every splice and insert is validated against the
-/// footprint discipline and recorded on the audit trace
-/// ([`AuditEvent::FragmentSpliced`] / [`AuditEvent::FragmentInsert`]),
+/// [`FragmentCache`] adapter over the runtime's [`ScheduleCache`]: every
+/// splice and insert is recorded on the audit trace with its fragment
+/// digest ([`AuditEvent::FragmentSpliced`] / [`AuditEvent::FragmentInsert`]),
 /// so `mrs-audit` can replay sharing coherence offline.
 struct TracedFragmentCache<'a> {
     cache: &'a mut ScheduleCache,
@@ -309,22 +321,10 @@ struct TracedFragmentCache<'a> {
 
 impl FragmentCache for TracedFragmentCache<'_> {
     fn get_fragment(&mut self, sig: &SubtreeSig) -> Option<Arc<ScheduleFragment>> {
-        let (frag, insert_epoch, touched, digest) = self.cache.fragment_get(sig)?;
-        let hit_epoch = self.cache.epoch();
-        debug_assert!(
-            audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
-                self.cache.site_epoch(s)
-            }),
-            "fragment memo served {} a subtree from epoch {insert_epoch} at epoch \
-             {hit_epoch} despite a footprint change",
-            self.query
-        );
+        let (frag, digest) = self.cache.fragment_get(sig)?;
         self.trace.push(AuditEvent::FragmentSpliced {
             time: self.time,
             query: self.query,
-            insert_epoch,
-            hit_epoch,
-            touched,
             sig_hash: sig.hash64(),
             digest,
         });
@@ -337,7 +337,6 @@ impl FragmentCache for TracedFragmentCache<'_> {
         self.trace.push(AuditEvent::FragmentInsert {
             time: self.time,
             query: self.query,
-            epoch: self.cache.epoch(),
             sig_hash,
             digest,
         });
@@ -394,7 +393,7 @@ impl<M: ResponseModel> Runtime<M> {
         }
         let queue = AdmissionQueue::new(cfg.policy);
         let faults = FaultTimeline::new(&cfg.faults);
-        let schedule_cache = ScheduleCache::new(sys.sites);
+        let schedule_cache = ScheduleCache::new();
         let controller = Controller::new(cfg.controller.clone());
         Runtime {
             sys,
@@ -487,7 +486,7 @@ impl<M: ResponseModel> Runtime<M> {
         id
     }
 
-    /// Schedule-cache counters so far (hits, fresh plans, epoch bumps).
+    /// Schedule-cache counters so far (hits, fresh plans, site changes).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.schedule_cache.stats()
     }
@@ -502,6 +501,8 @@ impl<M: ResponseModel> Runtime<M> {
     /// [`RuntimeError::Schedule`] if a query's TreeSchedule fails at
     /// admission (e.g. a malformed task graph); queries admitted before
     /// the failure keep their partial progress.
+    /// [`RuntimeError::ClockStalled`] if the virtual clock can no longer
+    /// advance (clone durations below one ULP of the clock).
     pub fn run_to_completion(&mut self) -> Result<RunSummary, RuntimeError> {
         // Arrivals in (time, id) order; ids are dense so ties (equal
         // times) resolve in submission order.
@@ -566,6 +567,19 @@ impl<M: ResponseModel> Runtime<M> {
             self.clock = t;
             completions.clear();
             self.fabric.advance_due(t, &mut completions);
+            // No progress: the completion due at t surfaced nothing, no
+            // other event is due at t, and the sites still report a
+            // completion at or before t. Every later pass would repeat
+            // this one exactly, so fail instead of spinning.
+            if completions.is_empty()
+                && next_completion.is_some_and(|c| c <= t)
+                && [next_arrival, next_fault, next_retry, next_deadline]
+                    .iter()
+                    .all(|e| e.is_none_or(|e| e > t))
+                && self.fabric.next_time().is_some_and(|c| c <= t)
+            {
+                return Err(RuntimeError::ClockStalled { time: t });
+            }
             debug_assert!(
                 completions_sorted(&completions),
                 "fabric surfaced completions out of (time, tag) order"
@@ -714,10 +728,9 @@ impl<M: ResponseModel> Runtime<M> {
     }
 
     /// Applies one fault event to the site simulators, ledger, and any
-    /// affected queries. Any environment change (crash or restore) bumps
-    /// the changed site's schedule-cache epoch: no plan whose footprint
-    /// includes the site is served from before the change (plans that
-    /// never touch it stay servable — see [`crate::cache`]).
+    /// affected queries. A crash or restore is counted by the schedule
+    /// cache but evicts nothing: plans never read site state (see
+    /// [`crate::cache`]).
     fn apply_fault(&mut self, site: usize, kind: FaultKind) {
         match kind {
             FaultKind::Crash => {
@@ -728,11 +741,10 @@ impl<M: ResponseModel> Runtime<M> {
                 // Evicts the residents, invalidates the calendar entry,
                 // and releases the site from the ledger.
                 let lost = self.fabric.fail_site(site);
-                self.schedule_cache.bump_epoch(site);
+                self.schedule_cache.count_site_change();
                 self.audit_trace.push(AuditEvent::SiteDown {
                     time: self.clock,
                     site,
-                    epoch: self.schedule_cache.epoch(),
                     clones_lost: lost.len(),
                 });
                 // Scale each lost clone's work vector by its unfinished
@@ -773,11 +785,10 @@ impl<M: ResponseModel> Runtime<M> {
                 // restore needs no catch-up; the site's clock fast-forwards
                 // at its next touch.
                 self.fabric.restore_site(site);
-                self.schedule_cache.bump_epoch(site);
+                self.schedule_cache.count_site_change();
                 self.audit_trace.push(AuditEvent::SiteUp {
                     time: self.clock,
                     site,
-                    epoch: self.schedule_cache.epoch(),
                 });
             }
         }
@@ -1222,21 +1233,10 @@ impl<M: ResponseModel> Runtime<M> {
         let cap = self.controller.degree_cap(self.sys.sites);
         let failed = |source| RuntimeError::Schedule { query: id, source };
         let sig = PlanSignature::of_capped(problem, self.cfg.f, cap);
-        if let Some((hit, insert_epoch, touched)) = self.schedule_cache.get(&sig) {
-            let hit_epoch = self.schedule_cache.epoch();
-            debug_assert!(
-                audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
-                    self.schedule_cache.site_epoch(s)
-                }),
-                "cache served {id} a plan from epoch {insert_epoch} at epoch {hit_epoch} \
-                 despite a footprint change"
-            );
+        if let Some(hit) = self.schedule_cache.get(&sig) {
             self.audit_trace.push(AuditEvent::CacheHit {
                 time: self.clock,
                 query: id,
-                insert_epoch,
-                hit_epoch,
-                touched,
             });
             if self.cfg.verify_cache {
                 // A cold recompute with the strategy that produced the
@@ -1277,12 +1277,10 @@ impl<M: ResponseModel> Runtime<M> {
         .map_err(failed)?;
         self.schedule_cache.absorb_shared(&stats);
         let fresh = Arc::new(fresh);
-        self.schedule_cache
-            .insert(sig, Arc::clone(&fresh), schedule_footprint(&fresh));
+        self.schedule_cache.insert(sig, Arc::clone(&fresh));
         self.audit_trace.push(AuditEvent::CacheInsert {
             time: self.clock,
             query: id,
-            epoch: self.schedule_cache.epoch(),
         });
         Ok(fresh)
     }
@@ -1995,7 +1993,7 @@ mod tests {
         // verify_cache shadow-computes every hit and panics on any
         // digest mismatch, so a clean run *is* the assertion. The stream
         // runs clean and under seeded crashes (MTBF 20 s per site), where
-        // epoch bumps stale some entries between hits.
+        // plans cached before a crash keep being served after it.
         for faults in [FaultPlan::none(), FaultPlan::seeded(4, 400.0, 20.0, 5.0, 7)] {
             let cfg = RuntimeConfig {
                 verify_cache: true,
@@ -2015,43 +2013,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crash_bumps_the_cache_epoch_and_forces_replanning() {
-        // Same template before and after a crash of a site in the
-        // plan's footprint: the bump must stale the memoized plan, so
-        // the post-crash admission re-plans (a miss plus a stale
-        // eviction) rather than hitting.
-        let cfg = RuntimeConfig {
-            max_in_flight: 1,
-            faults: FaultPlan::scripted(vec![crash(1.0, 3)]),
-            ..RuntimeConfig::default()
-        };
-        let mut rt = runtime_with(cfg);
-        rt.submit_at(0.0, 0, one_op_problem(10.0));
-        rt.submit_at(0.5, 0, one_op_problem(10.0));
-        let summary = rt.run_to_completion().unwrap();
-        assert_eq!(summary.sites_failed(), 1);
-        assert_eq!(summary.cache.epoch_bumps, 1);
-        // Both admissions planned fresh: the second query was queued
-        // behind MPL=1 and only admitted after the crash staled the
-        // entry (the floating plan spreads over every site, so site 3
-        // is in its footprint).
-        assert_eq!(summary.cache.misses, 2);
-        assert_eq!(summary.cache.hits, 0);
-        assert_eq!(summary.cache.stale_evictions, 1);
-    }
-
-    #[test]
-    fn crash_outside_the_footprint_keeps_the_cached_plan() {
-        // A plan rooted on site 0 never touches site 3: the crash still
-        // bumps the epoch, but partial invalidation keeps the entry
-        // servable and the second admission hits.
-        use mrs_core::operator::Placement;
-        let rooted = |cpu: f64| {
-            let mut p = one_op_problem(cpu);
-            p.ops[0].placement = Placement::Rooted(vec![SiteId(0)]);
-            p
-        };
+    /// Runs the same template before and after a crash of site 3 under
+    /// MPL=1, so the second query is admitted only after the crash, and
+    /// asserts it is served the cached plan. `verify_cache` proves the
+    /// hit bit-identical to a fresh plan.
+    fn assert_crash_keeps_the_plan_servable(problem: TreeProblem) {
         let cfg = RuntimeConfig {
             max_in_flight: 1,
             faults: FaultPlan::scripted(vec![crash(1.0, 3)]),
@@ -2059,14 +2025,45 @@ mod tests {
             ..RuntimeConfig::default()
         };
         let mut rt = runtime_with(cfg);
-        rt.submit_at(0.0, 0, rooted(10.0));
-        rt.submit_at(0.5, 0, rooted(10.0));
+        rt.submit_at(0.0, 0, problem.clone());
+        rt.submit_at(0.5, 0, problem);
         let summary = rt.run_to_completion().unwrap();
         assert_eq!(summary.sites_failed(), 1);
-        assert_eq!(summary.cache.epoch_bumps, 1, "the crash still bumps");
+        assert_eq!(summary.completed(), 2);
+        assert_eq!(summary.cache.epoch_bumps, 1, "the crash is counted");
         assert_eq!(summary.cache.misses, 1, "only the first admission plans");
-        assert_eq!(summary.cache.hits, 1, "untouched footprint stays servable");
+        assert_eq!(summary.cache.hits, 1, "the crash evicts nothing");
         assert_eq!(summary.cache.stale_evictions, 0);
+    }
+
+    #[test]
+    fn crash_keeps_cached_plans_servable() {
+        // The floating plan spreads over every site, site 3 included,
+        // yet planning never reads site state, so the crash changes no
+        // plan and the cached one stays servable.
+        assert_crash_keeps_the_plan_servable(one_op_problem(10.0));
+    }
+
+    #[test]
+    fn crash_outside_the_footprint_keeps_the_cached_plan() {
+        // A plan rooted on site 0 never lands a clone on site 3.
+        use mrs_core::operator::Placement;
+        let mut rooted = one_op_problem(10.0);
+        rooted.ops[0].placement = Placement::Rooted(vec![SiteId(0)]);
+        assert_crash_keeps_the_plan_servable(rooted);
+    }
+
+    #[test]
+    fn a_clock_too_coarse_for_any_clone_stalls_with_a_typed_error() {
+        // At t = 1e300 one ULP of the clock (~1e284) dwarfs the clone's
+        // duration: its completion is due "now" yet advancing to now
+        // finishes nothing. The run must fail instead of spinning.
+        let mut rt = runtime(AdmissionPolicy::Fcfs, 1);
+        rt.submit_at(1e300, 0, one_op_problem(1.0));
+        match rt.run_to_completion() {
+            Err(RuntimeError::ClockStalled { time }) => assert!(time >= 1e300),
+            other => panic!("expected a stalled clock, got {other:?}"),
+        }
     }
 
     #[test]

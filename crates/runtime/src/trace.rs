@@ -8,8 +8,8 @@
 //! the other way round — no dependency cycle) can *re-check* conservation
 //! and coherence after the fact from a [`crate::metrics::RunSummary`]
 //! alone: the events carry the aggregate quantities (lost work, expected
-//! re-packed work including the EA1 startup surcharge, epochs), and the
-//! summary's fault counters are counts over it.
+//! re-packed work including the EA1 startup surcharge, fragment digests),
+//! and the summary's fault counters are counts over it.
 //!
 //! Events are plain values recorded in simulation-event order; the
 //! sequence is deterministic for a fixed seed and identical across
@@ -56,58 +56,39 @@ pub enum AuditEvent {
         /// Total work actually placed onto alive sites.
         placed_total: f64,
     },
-    /// A fresh admission plan was memoized under the current epoch.
+    /// A fresh admission plan was memoized.
     CacheInsert {
         /// Virtual insert time.
         time: f64,
         /// The query whose plan was computed.
         query: QueryId,
-        /// Cache epoch at insert time.
-        epoch: u64,
     },
     /// An admission plan was served from the schedule cache.
-    ///
-    /// Coherence invariant (see [`audit_cache_hit_coherent`]): the entry
-    /// must have been inserted no later than the hit (`insert_epoch <=
-    /// hit_epoch`), `hit_epoch` must be the epoch actually current at
-    /// hit time (replayable from the [`AuditEvent::SiteDown`] /
-    /// [`AuditEvent::SiteUp`] stream),
-    /// and no site in the entry's footprint may have changed after
-    /// insertion — a plan is only served while its own environment is
-    /// unshifted.
     CacheHit {
         /// Virtual hit time.
         time: f64,
         /// The query served from the cache.
         query: QueryId,
-        /// Epoch the entry was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at hit time.
-        hit_epoch: u64,
-        /// The entry's site footprint (sorted, deduplicated homes).
-        touched: Vec<usize>,
     },
-    /// A site crashed, evicting `clones_lost` resident clones, and the
-    /// cache epoch advanced to `epoch`.
+    /// A site crashed, evicting `clones_lost` resident clones.
+    ///
+    /// Replay invariant (the `site-transition` audit check): every site
+    /// starts up, and a crash names a site that is up.
     SiteDown {
         /// Virtual crash time.
         time: f64,
         /// The crashed site.
         site: usize,
-        /// The new cache epoch.
-        epoch: u64,
         /// Clones evicted by the crash.
         clones_lost: usize,
     },
-    /// A crashed site came back, empty, and the cache epoch advanced to
-    /// `epoch`.
+    /// A crashed site came back, empty. Replay invariant: the site was
+    /// down.
     SiteUp {
         /// Virtual restore time.
         time: f64,
         /// The recovered site.
         site: usize,
-        /// The new cache epoch.
-        epoch: u64,
     },
     /// One clone of `query` was lost to a crash (or displaced from a
     /// dead site at dispatch).
@@ -158,8 +139,6 @@ pub enum AuditEvent {
         time: f64,
         /// The query whose planning produced the fragment.
         query: QueryId,
-        /// Cache epoch at insert time.
-        epoch: u64,
         /// Fold of the subtree's canonical signature.
         sig_hash: u64,
         /// Bit-level digest of the memoized fragment.
@@ -167,10 +146,8 @@ pub enum AuditEvent {
     },
     /// A cached subtree fragment was spliced into an admission plan.
     ///
-    /// Coherence invariants (see the `runtime-mqo` audit family): the
-    /// epoch/footprint discipline of [`AuditEvent::CacheHit`] applies
-    /// unchanged ([`audit_cache_hit_coherent`]), and `digest` must equal
-    /// the digest recorded by the [`AuditEvent::FragmentInsert`] for the
+    /// Coherence invariant (see the `runtime-mqo` audit family): `digest`
+    /// must equal the digest recorded by the [`AuditEvent::FragmentInsert`] for the
     /// same `sig_hash` — the spliced bytes are exactly the memoized
     /// bytes, which the shared planner's determinism ties back to a
     /// fresh computation over the subtree problem.
@@ -179,12 +156,6 @@ pub enum AuditEvent {
         time: f64,
         /// The query receiving the fragment.
         query: QueryId,
-        /// Epoch the fragment was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at splice time.
-        hit_epoch: u64,
-        /// The fragment's site footprint (sorted, deduplicated).
-        touched: Vec<usize>,
         /// Fold of the subtree's canonical signature.
         sig_hash: u64,
         /// Digest the memo recorded for this fragment at insertion.
@@ -247,26 +218,6 @@ pub fn audit_repack_conserves(expected_total: f64, placed_total: f64) -> bool {
     (expected_total - placed_total).abs() <= CONSERVATION_REL_TOL * scale
 }
 
-/// True when a cache hit is coherent under footprint invalidation:
-///
-/// * the entry predates the hit (`insert_epoch <= hit_epoch`);
-/// * `hit_epoch` equals `current_epoch`, the epoch the auditor replayed
-///   from the `SiteDown`/`SiteUp` stream up to the hit;
-/// * no site in the entry's footprint changed after insertion —
-///   `site_last_bump(s)` is the replayed epoch of site `s`'s last
-///   availability change (0 if it never changed).
-pub fn audit_cache_hit_coherent(
-    insert_epoch: u64,
-    hit_epoch: u64,
-    current_epoch: u64,
-    touched: &[usize],
-    site_last_bump: impl Fn(usize) -> u64,
-) -> bool {
-    insert_epoch <= hit_epoch
-        && hit_epoch == current_epoch
-        && touched.iter().all(|&s| site_last_bump(s) <= insert_epoch)
-}
-
 /// True when one controller decision is a *structurally* valid step from
 /// the replayed `(prev_level, prev_gate)` state: the action matches the
 /// recorded post-state and moves exactly one step (level ±1 with the
@@ -312,21 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_coherence_checks_epochs_and_footprint() {
-        let bumps = |s: usize| if s == 2 { 3u64 } else { 0 };
-        // Inserted at 1, hit at 3 (current 3), footprint untouched.
-        assert!(audit_cache_hit_coherent(1, 3, 3, &[0, 1], bumps));
-        // Footprint site 2 changed at epoch 3, after insertion at 1.
-        assert!(!audit_cache_hit_coherent(1, 3, 3, &[0, 2], bumps));
-        // Same footprint, but inserted after the site's last change.
-        assert!(audit_cache_hit_coherent(3, 3, 3, &[0, 2], bumps));
-        // Hit epoch not the replayed current epoch: tampered trace.
-        assert!(!audit_cache_hit_coherent(1, 2, 3, &[], bumps));
-        // Entry from the future: tampered trace.
-        assert!(!audit_cache_hit_coherent(4, 3, 3, &[], bumps));
-    }
-
-    #[test]
     fn placement_validity_checks_site_range_and_shape() {
         let good = vec![(SiteId(0), WorkVector::from_slice(&[1.0, 0.0, 0.0]))];
         assert!(audit_placements_valid(&good, 2, 3));
@@ -342,11 +278,7 @@ mod tests {
 
     #[test]
     fn event_time_accessor_covers_all_variants() {
-        let ev = AuditEvent::SiteUp {
-            time: 2.5,
-            site: 0,
-            epoch: 1,
-        };
+        let ev = AuditEvent::SiteUp { time: 2.5, site: 0 };
         assert_eq!(ev.time(), 2.5);
         let ev = AuditEvent::PhaseDispatched {
             time: 1.0,

@@ -104,8 +104,8 @@ fn overlap_batches_share_canonical_signatures() {
 
 /// The batched runtime under `verify_cache`: every whole-plan hit is
 /// shadow-replanned with the *shared* planner against a cold memo and
-/// must digest-match, even while a fault schedule bumps epochs and
-/// stales fragments mid-stream. Completing the run is the assertion.
+/// must digest-match, even while a site crashes and recovers mid-stream.
+/// Completing the run is the assertion.
 #[test]
 fn batched_sharing_survives_shadow_verification_under_faults() {
     let cost = CostModel::paper_defaults();
@@ -146,11 +146,9 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
         summary.cache.subtree_hits > 0,
         "the overlapped stream never spliced"
     );
-    // Crash and recover each bump the cache epoch.
-    assert_eq!(
-        summary.cache.epoch_bumps, 2,
-        "the fault pair must bump the epoch"
-    );
+    // The crash and the recovery are each counted, and evict nothing.
+    assert_eq!(summary.cache.epoch_bumps, 2, "the fault pair is counted");
+    assert_eq!(summary.cache.stale_evictions, 0);
 }
 
 /// Batched admission with sharing on is deterministic: two runs over the

@@ -1,6 +1,6 @@
 //! Cross-crate serving-hot-path tests: every schedule-cache hit must be
-//! bit-identical to a fresh plan (shadow-verified) and the cache epoch
-//! must react to site failures mid-stream.
+//! bit-identical to a fresh plan (shadow-verified), and a site failure
+//! mid-stream evicts nothing, because plans never read site state.
 
 use mdrs::prelude::*;
 
@@ -30,7 +30,7 @@ fn submit_stream(rt: &mut Runtime<OverlapModel>, n: usize, cost: &CostModel) {
 /// mismatch, so completing a hit-heavy faulted run under it proves each
 /// served schedule byte-identical to a fresh computation. Two fault
 /// plans: a crash that stays down, and a crash/recover pair early in the
-/// stream (the post-recovery epoch is long enough to accumulate hits).
+/// stream (plans cached before the faults keep hitting after them).
 #[test]
 fn cache_hits_survive_shadow_verification() {
     let cost = CostModel::paper_defaults();
@@ -68,10 +68,11 @@ fn cache_hits_survive_shadow_verification() {
     }
 }
 
-/// A crash mid-stream bumps the cache epoch, and the next arrival of an
-/// already-cached template re-plans instead of hitting.
+/// A crash mid-stream is counted, and the next arrival of an
+/// already-cached template is still served the cached plan, which
+/// `verify_cache` proves bit-identical to a fresh one.
 #[test]
-fn crash_mid_stream_forces_replanning() {
+fn crash_mid_stream_keeps_serving_cached_plans() {
     let cost = CostModel::paper_defaults();
     let comm = cost.params().comm_model();
     let sys = SystemSpec::homogeneous(16);
@@ -86,6 +87,7 @@ fn crash_mid_stream_forces_replanning() {
     let crash_at = 1.5 * standalone;
     let cfg = RuntimeConfig {
         max_in_flight: 1,
+        verify_cache: true,
         faults: FaultPlan::scripted(vec![FaultEvent {
             time: crash_at,
             site: 15,
@@ -99,9 +101,11 @@ fn crash_mid_stream_forces_replanning() {
     }
     let summary = rt.run_to_completion().unwrap();
     assert_eq!(summary.sites_failed(), 1);
-    assert_eq!(summary.cache.epoch_bumps, 1, "crash must bump the epoch");
-    // Admission 1 misses (cold), admission 2 hits (same epoch), the
-    // crash clears the cache, admission 3 misses again.
-    assert_eq!(summary.cache.misses, 2, "post-crash admission must re-plan");
-    assert_eq!(summary.cache.hits, 1);
+    assert_eq!(summary.completed(), 3);
+    assert_eq!(summary.cache.epoch_bumps, 1, "the crash is counted");
+    // Admission 1 misses (cold); admissions 2 and 3 hit, the third
+    // after the crash.
+    assert_eq!(summary.cache.misses, 1, "only the first admission plans");
+    assert_eq!(summary.cache.hits, 2, "the crash evicts nothing");
+    assert_eq!(summary.cache.stale_evictions, 0);
 }
